@@ -29,11 +29,11 @@ Session::Session(int argc, char** argv)
       if (threads_ == 0) threads_ = 1;
     } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
       fast_forward_ = false;
-    } else if (std::strcmp(arg, "--engine=event") == 0) {
-      event_engine_ = true;
-      engine_flag_seen_ = true;
-    } else if (std::strcmp(arg, "--engine=tick") == 0) {
-      event_engine_ = false;
+    } else if (std::strncmp(arg, "--engine=", 9) == 0) {
+      // Same vocabulary (and the same loud failure on anything else) as
+      // the FPGADP_ENGINE environment variable.
+      event_engine_ =
+          sim::SchedulingFromEnv(arg + 9) == sim::Scheduling::kEventDriven;
       engine_flag_seen_ = true;
     }
   }

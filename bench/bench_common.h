@@ -37,14 +37,19 @@ namespace fpgadp::bench {
 ///                    any thread count; engines with modules not certified
 ///                    parallel-safe fall back to serial automatically.
 ///   --no-fast-forward
-///                    Disable event-driven fast-forwarding in Engine::Run()
-///                    (cycle counts are identical either way; this exists
-///                    to measure the speedup and to debug hint bugs).
-///   --engine=MODE    Run() scheduler for every engine: "tick" (default,
-///                    the level-tick loop) or "event" (the event-driven
-///                    core). Cycle counts are bit-identical across modes;
-///                    the flag exists to measure simulator throughput.
-///                    Overrides the FPGADP_ENGINE environment variable.
+///                    Disable fast-forwarding in Engine::Run() (cycle
+///                    counts are identical either way; this exists to
+///                    measure the speedup and to debug hint bugs). Only
+///                    the level-tick loop skips by fast-forward; the event
+///                    scheduler jumps idle cycles regardless and consults
+///                    the flag only for modules not certified event-safe.
+///   --engine=MODE    Run() scheduler for every engine: "event" (default,
+///                    the event-driven core) or "tick" (the level-tick
+///                    reference loop); any other value aborts. Cycle counts
+///                    are bit-identical across modes; the flag exists to
+///                    cross-check the schedulers and measure simulator
+///                    throughput. Overrides the FPGADP_ENGINE environment
+///                    variable.
 ///   --json=<file>    Dump every result row the bench recorded with
 ///                    AddResult(), plus the bench's total wall-clock, as a
 ///                    JSON file on exit — the machine-readable complement

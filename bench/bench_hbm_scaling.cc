@@ -86,7 +86,9 @@ uint64_t ChannelStressRun(uint32_t channels, uint64_t reads_per_channel,
                           uint32_t threads, double* out_ms) {
   sim::Engine engine;
   engine.SetThreads(threads);
-  engine.SetFastForward(false);  // measure the raw tick loop
+  // Measure the raw tick loop: level-tick scheduling, no fast-forward.
+  engine.SetScheduling(sim::Scheduling::kLevelTick);
+  engine.SetFastForward(false);
   std::vector<std::unique_ptr<sim::Stream<mem::MemRequest>>> reqs;
   std::vector<std::unique_ptr<sim::Stream<mem::MemResponse>>> resps;
   std::vector<std::unique_ptr<mem::MemoryChannel>> chans;

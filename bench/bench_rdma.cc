@@ -190,6 +190,9 @@ int main(int argc, char** argv) {
     rel.max_retries = 32;     // never give up at this drop rate
     Harness h(&injector, rel);
     h.engine.SetFastForward(fast_forward);
+    // The cycle-stepped baseline is the level-tick loop: the default event
+    // scheduler jumps idle gaps with or without the fast-forward flag.
+    if (!fast_forward) h.engine.SetScheduling(sim::Scheduling::kLevelTick);
     for (int i = 0; i < 16; ++i) {
       h.a.PostWrite(1, uint64_t(i) * 4096, 4096, i);
     }

@@ -15,7 +15,8 @@
 // hard guarantees are asserted:
 //   * every configuration reports bit-identical simulated cycles AND
 //     bit-identical per-class latency histograms across serial, threaded,
-//     and no-fast-forward engine modes;
+//     and no-fast-forward level-tick engine modes (serial and threaded run
+//     the default scheduler; noff is the every-cycle reference loop);
 //   * interactive p99 under the qd policy is monotone non-decreasing in
 //     offered load (the knee curve only bends up);
 //   * at the overload point, the slo policy holds interactive p99 within
@@ -70,10 +71,14 @@ constexpr double kBatchWeight = 0.2;
 constexpr double kMixMeanSvc =
     kInteractiveWeight * kInteractiveSvc + kBatchWeight * kBatchSvc;
 
+/// An engine mode the purity check compares. "serial" and "thrN" run the
+/// process-default scheduler; "noff" is the every-cycle level-tick loop
+/// with fast-forward off, the reference the others must reproduce.
 struct Mode {
   std::string name;
   uint32_t threads = 1;
   bool fast_forward = true;
+  sim::Scheduling scheduling = sim::DefaultScheduling();
 };
 
 struct RunConfig {
@@ -187,6 +192,7 @@ RunOut RunOne(const RunConfig& rc, const Mode& mode) {
   cluster.engine().AddModule(&door);
   cluster.engine().SetThreads(mode.threads);
   cluster.engine().SetFastForward(mode.fast_forward);
+  cluster.engine().SetScheduling(mode.scheduling);
 
   auto cycles = cluster.Run(1ull << 32);
   if (!cycles.ok()) {
@@ -409,7 +415,7 @@ int RunFailoverSweep(bench::Session& session, bool smoke,
   }
   t.Print(std::cout);
   std::cout << "\n(all rows asserted bit-identical across serial / threaded "
-               "/ no-fast-forward engine modes; recovery budget "
+               "/ level-tick no-fast-forward engine modes; recovery budget "
             << kRecoveryBudget << " cycles, see EXPERIMENTS.md E25)\n";
   return ok ? 0 : 1;
 }
@@ -434,7 +440,7 @@ int main(int argc, char** argv) {
     const uint32_t nt = session.threads() > 1 ? session.threads() : 4;
     return RunFailoverSweep(session, smoke,
                             {{"serial", 1, true},
-                             {"noff", 1, false},
+                             {"noff", 1, false, sim::Scheduling::kLevelTick},
                              {"thr" + std::to_string(nt), nt, true}});
   }
   shard::GatherConfig gather;
@@ -466,7 +472,7 @@ int main(int argc, char** argv) {
   const uint32_t nthreads = session.threads() > 1 ? session.threads() : 4;
   const std::vector<Mode> modes = {
       {"serial", 1, true},
-      {"noff", 1, false},
+      {"noff", 1, false, sim::Scheduling::kLevelTick},
       {"thr" + std::to_string(nthreads), nthreads, true},
   };
 
@@ -580,8 +586,8 @@ int main(int argc, char** argv) {
   }
   t.Print(std::cout);
   std::cout << "\n(all rows asserted bit-identical across serial / threaded "
-               "/ no-fast-forward engine modes, latency histograms "
-               "included)\n\n";
+               "/ level-tick no-fast-forward engine modes, latency "
+               "histograms included)\n\n";
 
   // Knee shape: interactive p99 under the blind queue-depth policy must be
   // monotone non-decreasing in offered load.

@@ -25,7 +25,9 @@
 //
 // Three hard guarantees are asserted:
 //   * every (workload, gather, shard count) reports bit-identical simulated
-//     cycles across serial, threaded, and no-fast-forward engine modes,
+//     cycles across serial, threaded, and no-fast-forward level-tick
+//     engine modes (serial and threaded run the default scheduler; noff is
+//     the every-cycle reference loop),
 //   * ANNS throughput at 4 shards (flat) is >= 3x the 1-shard baseline
 //     (>= 2x in --smoke, whose smaller corpus leaves less to parallelize),
 //   * KVS multiget at 8 shards breaks the fan-in wall: tree or switch gather
@@ -62,10 +64,14 @@
 namespace fpgadp {
 namespace {
 
+/// An engine mode the purity check compares. "serial" and "thrN" run the
+/// process-default scheduler; "noff" is the every-cycle level-tick loop
+/// with fast-forward off, the reference the others must reproduce.
 struct Mode {
   std::string name;
   uint32_t threads = 1;
   bool fast_forward = true;
+  sim::Scheduling scheduling = sim::DefaultScheduling();
 };
 
 struct RunResult {
@@ -132,6 +138,7 @@ uint64_t DrainCluster(shard::ShardCluster& cluster, size_t expected,
                       const Mode& mode, double* wall_sec) {
   cluster.engine().SetThreads(mode.threads);
   cluster.engine().SetFastForward(mode.fast_forward);
+  cluster.engine().SetScheduling(mode.scheduling);
   const double t0 = Now();
   auto cycles = cluster.Run();
   *wall_sec = Now() - t0;
@@ -355,7 +362,7 @@ int main(int argc, char** argv) {
   const uint32_t nthreads = session.threads() > 1 ? session.threads() : 4;
   const std::vector<Mode> modes = {
       {"serial", 1, true},
-      {"noff", 1, false},
+      {"noff", 1, false, sim::Scheduling::kLevelTick},
       {"thr" + std::to_string(nthreads), nthreads, true},
   };
   const std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
@@ -449,8 +456,9 @@ int main(int argc, char** argv) {
   }
   t.Print(std::cout);
   std::cout << "\n(cycle counts asserted identical across serial / threaded "
-               "/ no-fast-forward modes; scaling is per simulated second; "
-               "vs-flat compares to single-port flat at equal shards)\n";
+               "/ level-tick no-fast-forward modes; scaling is per simulated "
+               "second; vs-flat compares to single-port flat at equal "
+               "shards)\n";
 
   if (std::find(gathers.begin(), gathers.end(), "flat") == gathers.end()) {
     std::cout << "[note] --gather=" << gather_flag

@@ -1,6 +1,7 @@
 #include "src/net/fabric.h"
 
 #include <algorithm>
+#include <functional>
 #include <span>
 
 #include "src/common/check.h"
@@ -113,10 +114,7 @@ Fabric::Fabric(std::string name, uint32_t num_nodes, const Config& config)
   FPGADP_CHECK(num_nodes > 0);
   bytes_per_cycle_ = config_.bits_per_sec / 8.0 / config_.clock_hz;
   wire_latency_cycles_ = NanosToCycles(config_.wire_latency_ns, config_.clock_hz);
-  tx_free_.assign(num_nodes, 0);
-  rx_free_.assign(num_nodes, 0);
-  tx_busy_cycles_.assign(num_nodes, 0);
-  rx_busy_cycles_.assign(num_nodes, 0);
+  ports_.resize(num_nodes);
   arriving_.resize(num_nodes);
   for (uint32_t n = 0; n < num_nodes; ++n) {
     egress_.push_back(std::make_unique<sim::Stream<Packet>>(
@@ -133,30 +131,52 @@ Fabric::Fabric(std::string name, uint32_t num_nodes, const Config& config)
 sim::Cycle Fabric::NextEventCycle(sim::Cycle now) const {
   sim::Cycle earliest = sim::kNoEventCycle;
   if (injector_ != nullptr) earliest = injector_->NextScheduledCycle(now);
-  for (const auto& pq : arriving_) {
-    if (pq.empty()) continue;
-    const sim::Cycle at = pq.top().deliver_at > now ? pq.top().deliver_at : now;
+  // Tick leaves a live head on due_, so the head is the earliest receive
+  // completion over every port.
+  if (!due_.empty()) {
+    const sim::Cycle at = std::max(due_.front().first, now);
     if (at < earliest) earliest = at;
   }
   return earliest;
 }
 
 void Fabric::AttributeSkip(sim::Cycle from, sim::Cycle to) {
-  const uint64_t n = to - from;
-  // Closed form of the per-tick port accounting: port p serializes until
-  // tx_free_[p]/rx_free_[p].
-  for (uint32_t p = 0; p < tx_free_.size(); ++p) {
-    if (tx_free_[p] > from) {
-      tx_busy_cycles_[p] += std::min<uint64_t>(n, tx_free_[p] - from);
-    }
-    if (rx_free_[p] > from) {
-      rx_busy_cycles_[p] += std::min<uint64_t>(n, rx_free_[p] - from);
-    }
-  }
+  // The ports' busy cycles over the skipped window follow in closed form
+  // from their free cycles (see Serializer), so extending the window is all
+  // the per-port accounting a skip needs.
+  Cover(from);
+  covered_to_ = to;
   // The serial ticks mark busy while anything is in flight (on the wire,
   // in receive serialization, or held in a switch combiner) and idle
   // otherwise.
-  if (!Idle()) MarkBusyN(n);
+  if (!Idle()) MarkBusyN(to - from);
+}
+
+void Fabric::Cover(sim::Cycle from) {
+  if (from == covered_to_) return;
+  for (Port& p : ports_) {
+    for (Serializer* s : {&p.tx, &p.rx}) {
+      s->busy = Busy(*s);
+      s->from = from;
+    }
+  }
+  covered_to_ = from;
+}
+
+void Fabric::SetFree(Serializer& s, sim::Cycle free_at) {
+  s.busy = Busy(s);
+  s.from = covered_to_;
+  s.free = free_at;
+}
+
+void Fabric::Arrive(uint32_t node, sim::Cycle at, const Packet& packet) {
+  auto& pq = arriving_[node];
+  if (pq.empty() || at < pq.top().deliver_at) {
+    due_.emplace_back(at, node);
+    std::push_heap(due_.begin(), due_.end(), std::greater<>());
+  }
+  pq.push({at, packet});
+  ++in_flight_;
 }
 
 void Fabric::RegisterWith(sim::Engine& engine) {
@@ -173,12 +193,10 @@ uint64_t Fabric::SerializationCycles(uint64_t payload_bytes) const {
 }
 
 void Fabric::Tick(sim::Cycle cycle) {
-  // Per-port serialization accounting: a port is busy while a packet is
-  // still streaming through it.
-  for (uint32_t n = 0; n < tx_free_.size(); ++n) {
-    if (cycle < tx_free_[n]) ++tx_busy_cycles_[n];
-    if (cycle < rx_free_[n]) ++rx_busy_cycles_[n];
-  }
+  // Per-port serialization accounting is settled lazily (see Serializer);
+  // this tick covers `cycle`.
+  Cover(cycle);
+  covered_to_ = cycle + 1;
   bool progressed = false;
   // Pick up newly posted packets from every egress port, burst-read per
   // contiguous run; the per-packet switching/fault logic is unchanged.
@@ -200,8 +218,9 @@ void Fabric::Tick(sim::Cycle cycle) {
                              p.kind == OpKind::kHealthBeacon;
         const uint64_t ser = SerializationCycles(p.bytes);
         const sim::Cycle tx_start =
-            control ? cycle + 1 : std::max<sim::Cycle>(cycle + 1, tx_free_[n]);
-        if (!control) tx_free_[n] = tx_start + ser;
+            control ? cycle + 1
+                    : std::max<sim::Cycle>(cycle + 1, ports_[n].tx.free);
+        if (!control) SetFree(ports_[n].tx, tx_start + ser);
         // Fault injection point: the packet has left the sender NIC (tx
         // serialization is already paid) and is inside the switch.
         uint64_t extra_delay = 0;
@@ -252,12 +271,12 @@ void Fabric::Tick(sim::Cycle cycle) {
             auto released = agg_switch_->Offer(at_switch, p);
             if (!released.has_value()) continue;
             const Packet& m = released->packet;
-            const uint64_t mser = SerializationCycles(m.bytes);
-            const sim::Cycle mrx_start =
-                std::max<sim::Cycle>(released->ready_at, rx_free_[m.dst]);
-            rx_free_[m.dst] = mrx_start + mser;
-            arriving_[m.dst].push({mrx_start + mser, m});
-            ++in_flight_;
+            const sim::Cycle mrx_end =
+                std::max<sim::Cycle>(released->ready_at,
+                                     ports_[m.dst].rx.free) +
+                SerializationCycles(m.bytes);
+            SetFree(ports_[m.dst].rx, mrx_end);
+            Arrive(m.dst, mrx_end, m);
           }
           continue;
         }
@@ -268,21 +287,19 @@ void Fabric::Tick(sim::Cycle cycle) {
         const sim::Cycle rx_start =
             control ? tx_start + wire_latency_cycles_
                     : std::max<sim::Cycle>(tx_start + wire_latency_cycles_,
-                                           rx_free_[p.dst]);
+                                           ports_[p.dst].rx.free);
         const sim::Cycle rx_end = rx_start + ser;
-        if (!control) rx_free_[p.dst] = rx_end;
+        if (!control) SetFree(ports_[p.dst].rx, rx_end);
         // A delay spike holds the packet in switch buffering after the port:
         // it does not occupy the receive port meanwhile, so later packets
         // overtake it — delay faults genuinely reorder delivery.
-        arriving_[p.dst].push({rx_end + extra_delay, p});
-        ++in_flight_;
+        Arrive(p.dst, rx_end + extra_delay, p);
         if (duplicate) {
           // The switch emits a second copy right behind the first; it pays
           // its own receive-port serialization.
-          const sim::Cycle rx2_end = rx_free_[p.dst] + ser;
-          rx_free_[p.dst] = rx2_end;
-          arriving_[p.dst].push({rx2_end + extra_delay, p});
-          ++in_flight_;
+          const sim::Cycle rx2_end = ports_[p.dst].rx.free + ser;
+          SetFree(ports_[p.dst].rx, rx2_end);
+          Arrive(p.dst, rx2_end + extra_delay, p);
         }
         progressed = true;
       }
@@ -290,9 +307,19 @@ void Fabric::Tick(sim::Cycle cycle) {
     }
   }
   // Deliver packets whose receive serialization has completed, burst-written
-  // per contiguous free run of each ingress FIFO.
-  for (uint32_t n = 0; n < ingress_.size(); ++n) {
+  // per contiguous free run of each ingress FIFO. Only ports indexed as due
+  // are visited; identical (cycle, port) entries pop back to back, so a
+  // repeat is skipped.
+  std::pair<sim::Cycle, uint32_t> prev{sim::kNoEventCycle, 0};
+  while (!due_.empty() && due_.front().first <= cycle) {
+    std::pop_heap(due_.begin(), due_.end(), std::greater<>());
+    const std::pair<sim::Cycle, uint32_t> entry = due_.back();
+    due_.pop_back();
+    if (entry == prev) continue;
+    prev = entry;
+    const uint32_t n = entry.second;
     auto& pq = arriving_[n];
+    if (pq.empty() || pq.top().deliver_at != entry.first) continue;  // stale
     while (!pq.empty() && pq.top().deliver_at <= cycle) {
       std::span<Packet> dst = ingress_[n]->WritableSpan();
       if (dst.empty()) break;  // ingress FIFO full
@@ -308,6 +335,25 @@ void Fabric::Tick(sim::Cycle cycle) {
       packets_delivered_ += k;
       progressed = progressed || k > 0;
     }
+    if (pq.empty()) continue;
+    if (pq.top().deliver_at <= cycle) {
+      blocked_.push_back(n);  // retried next tick, once the FIFO drains
+    } else {
+      due_.emplace_back(pq.top().deliver_at, n);
+      std::push_heap(due_.begin(), due_.end(), std::greater<>());
+    }
+  }
+  for (uint32_t n : blocked_) {
+    due_.emplace_back(arriving_[n].top().deliver_at, n);
+    std::push_heap(due_.begin(), due_.end(), std::greater<>());
+  }
+  blocked_.clear();
+  // Leave a live head for NextEventCycle.
+  while (!due_.empty()) {
+    const auto& [at, n] = due_.front();
+    if (!arriving_[n].empty() && arriving_[n].top().deliver_at == at) break;
+    std::pop_heap(due_.begin(), due_.end(), std::greater<>());
+    due_.pop_back();
   }
   if (progressed) {
     MarkBusy();
@@ -332,9 +378,7 @@ void Fabric::InjectControl(sim::Cycle cycle, OpKind kind, uint32_t src,
   p.seq = seq;
   // Same timing as an endpoint-originated control packet: one cycle of
   // pickup, the wire, header-only serialization on the control lane.
-  arriving_[dst].push(
-      {cycle + 1 + wire_latency_cycles_ + SerializationCycles(0), p});
-  ++in_flight_;
+  Arrive(dst, cycle + 1 + wire_latency_cycles_ + SerializationCycles(0), p);
 }
 
 void Fabric::SampleTraceCounters(obs::TraceCounterSink& sink) {
@@ -379,12 +423,12 @@ void Fabric::ExportCustomMetrics(obs::MetricsRegistry& registry) const {
     registry.GetGauge(base + ".packets_dropped")
         ->Set(static_cast<double>(packets_dropped_));
   }
-  for (uint32_t n = 0; n < tx_busy_cycles_.size(); ++n) {
+  for (uint32_t n = 0; n < ports_.size(); ++n) {
     const std::string port = base + ".port" + std::to_string(n);
     registry.GetGauge(port + ".tx_busy_cycles")
-        ->Set(static_cast<double>(tx_busy_cycles_[n]));
+        ->Set(static_cast<double>(tx_busy_cycles(n)));
     registry.GetGauge(port + ".rx_busy_cycles")
-        ->Set(static_cast<double>(rx_busy_cycles_[n]));
+        ->Set(static_cast<double>(rx_busy_cycles(n)));
   }
 }
 

@@ -1,10 +1,12 @@
 #ifndef FPGADP_NET_FABRIC_H_
 #define FPGADP_NET_FABRIC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -233,9 +235,10 @@ class Fabric : public sim::Module {
   uint64_t packets_dropped() const { return packets_dropped_; }
 
   /// Cycles port `node` spent serializing onto / off the wire — the
-  /// per-port share of line-rate occupancy.
-  uint64_t tx_busy_cycles(uint32_t node) const { return tx_busy_cycles_[node]; }
-  uint64_t rx_busy_cycles(uint32_t node) const { return rx_busy_cycles_[node]; }
+  /// per-port share of line-rate occupancy — over every cycle the fabric
+  /// has ticked or been skipped through.
+  uint64_t tx_busy_cycles(uint32_t node) const { return Busy(ports_[node].tx); }
+  uint64_t rx_busy_cycles(uint32_t node) const { return Busy(ports_[node].rx); }
   /// Packets currently queued for receive at `node` — the incast depth.
   size_t incast_depth(uint32_t node) const { return arriving_[node].size(); }
 
@@ -260,6 +263,44 @@ class Fabric : public sim::Module {
     bool operator>(const InFlight& o) const { return deliver_at > o.deliver_at; }
   };
 
+  /// One serialized NIC resource: a port's tx or rx side. It is busy in
+  /// cycle c iff c < `free` as it stood when cycle c ticked. The busy count
+  /// is settled lazily: `busy` holds the busy cycles before `from`, and
+  /// every cycle from there up to covered_to_ saw the current `free` (it is
+  /// settled right before each change), so BusyIn() gives the rest.
+  struct Serializer {
+    sim::Cycle free = 0;
+    uint64_t busy = 0;
+    sim::Cycle from = 0;
+  };
+  struct Port {
+    Serializer tx;
+    Serializer rx;
+  };
+
+  /// Cycles c in [from, to) with c < free_at: the busy cycles of a port
+  /// that stays serializing until `free_at` over that window.
+  static uint64_t BusyIn(sim::Cycle free_at, sim::Cycle from, sim::Cycle to) {
+    return free_at > from ? std::min(free_at, to) - from : 0;
+  }
+  uint64_t Busy(const Serializer& s) const {
+    return s.busy + BusyIn(s.free, s.from, covered_to_);
+  }
+
+  /// Moves `s`'s free cycle during the tick that covers cycle
+  /// covered_to_ - 1, settling its busy count under the old value first.
+  void SetFree(Serializer& s, sim::Cycle free_at);
+
+  /// Extends the covered window to start at `from` (a tick or skip of
+  /// cycles from `from` on). Coverage is contiguous under every engine
+  /// mode; a gap (a fabric re-driven from another cycle) settles every port
+  /// through the old window and restarts them at `from`.
+  void Cover(sim::Cycle from);
+
+  /// Queues `packet` for delivery to `node` at `at`, indexing the port in
+  /// due_ when its earliest delivery moves up.
+  void Arrive(uint32_t node, sim::Cycle at, const Packet& packet);
+
   /// Emits a fault marker on this module's trace track, if tracing.
   void TraceFault(sim::Cycle cycle, FaultKind kind, const Packet& packet);
 
@@ -275,16 +316,24 @@ class Fabric : public sim::Module {
   uint64_t wire_latency_cycles_;
   std::vector<std::unique_ptr<sim::Stream<Packet>>> egress_;
   std::vector<std::unique_ptr<sim::Stream<Packet>>> ingress_;
-  std::vector<sim::Cycle> tx_free_;
-  std::vector<sim::Cycle> rx_free_;
-  std::vector<uint64_t> tx_busy_cycles_;
-  std::vector<uint64_t> rx_busy_cycles_;
+  std::vector<Port> ports_;
+  // Every cycle in [0, covered_to_) that the fabric ticked or was skipped
+  // through is accounted in the ports' busy counters (settled or pending).
+  sim::Cycle covered_to_ = 0;
   // Trace counter dedup: last emitted values (-1 = never emitted).
   std::vector<double> last_incast_emitted_;
   double last_inflight_emitted_ = -1;
   std::vector<std::priority_queue<InFlight, std::vector<InFlight>,
                                   std::greater<InFlight>>>
       arriving_;  // per destination
+  // Lazy-delete min-heap of (earliest delivery, port): every port with a
+  // queued arrival has an entry for its queue head, so Tick and
+  // NextEventCycle touch only ports with work. An entry that no longer
+  // matches its port's head is stale and dropped when it surfaces.
+  std::vector<std::pair<sim::Cycle, uint32_t>> due_;
+  // Ports whose ingress FIFO filled up with deliveries still due; scratch
+  // for re-indexing them after the delivery pass.
+  std::vector<uint32_t> blocked_;
   uint64_t in_flight_ = 0;
   uint64_t packets_delivered_ = 0;
   uint64_t payload_bytes_delivered_ = 0;

@@ -194,6 +194,7 @@ void KvsMultiGetWorkload::Load(uint64_t key, uint64_t value) {
 uint64_t KvsMultiGetWorkload::AddMultiGet(std::vector<uint64_t> keys) {
   FPGADP_CHECK(!keys.empty());
   requests_.push_back(std::move(keys));
+  plans_.emplace_back();
   return requests_.size() - 1;
 }
 
@@ -203,17 +204,31 @@ KvsMultiGetWorkload::result(uint64_t request_id) const {
 }
 
 std::vector<SubRequest> KvsMultiGetWorkload::Scatter(uint64_t request_id) {
-  std::map<uint32_t, std::vector<uint64_t>> by_shard;
-  for (uint64_t key : requests_[request_id]) {
-    by_shard[partitioner_.ShardOf(key)].push_back(key);
+  const std::vector<uint64_t>& keys = requests_[request_id];
+  const uint32_t shards = partitioner_.num_shards();
+  RequestPlan& rp = plans_[request_id];
+  rp = RequestPlan{};
+  // Counting sort of the positions by shard, routed in request order
+  // (kRoundRobin routing is stateful).
+  std::vector<uint32_t> shard_of(keys.size());
+  rp.begin.assign(shards + 1, 0);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    shard_of[j] = partitioner_.ShardOf(keys[j]);
+    ++rp.begin[shard_of[j] + 1];
+  }
+  for (uint32_t s = 0; s < shards; ++s) rp.begin[s + 1] += rp.begin[s];
+  rp.order.resize(keys.size());
+  std::vector<uint32_t> fill(rp.begin.begin(), rp.begin.end() - 1);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    rp.order[fill[shard_of[j]]++] = uint32_t(j);
   }
   std::vector<SubRequest> subs;
-  subs.reserve(by_shard.size());
-  for (auto& [shard, keys] : by_shard) {
+  for (uint32_t shard = 0; shard < shards; ++shard) {
+    const uint32_t n = rp.begin[shard + 1] - rp.begin[shard];
+    if (n == 0) continue;
     SubRequest sr;
     sr.shard = shard;
-    sr.request_bytes = keys.size() * uint64_t(config_.key_bytes);
-    plan_[{request_id, shard}] = std::move(keys);
+    sr.request_bytes = n * uint64_t(config_.key_bytes);
     subs.push_back(sr);
   }
   return subs;
@@ -225,81 +240,96 @@ uint32_t KvsMultiGetWorkload::StoreOf(uint32_t shard, uint64_t key) const {
 }
 
 Service KvsMultiGetWorkload::Serve(uint32_t shard, uint64_t request_id) {
-  const auto plan_it = plan_.find({request_id, shard});
-  if (plan_it == plan_.end()) {
+  RequestPlan& rp = plans_[request_id];
+  if (shard + 1 >= rp.begin.size() ||
+      rp.begin[shard] == rp.begin[shard + 1]) {
     // Stale serve after the gather finalized and released its plan (see
     // AnnsTopKWorkload::Serve).
     return Service{1, 0};
   }
-  const std::vector<uint64_t>& keys = plan_it->second;
-  auto& hits = partials_[{request_id, shard}];
-  for (uint64_t key : keys) {
-    // Each key reads from the store that owns it under the current routing
-    // table — after a migration flip that may no longer be `shard`'s.
-    const auto& store = stores_[StoreOf(shard, key)];
-    const auto it = store.find(key);
-    if (it != store.end()) hits.emplace(key, it->second);
+  const std::vector<uint64_t>& keys = requests_[request_id];
+  if (rp.hit.empty()) {
+    rp.hit.assign(keys.size(), 0);
+    rp.value.assign(keys.size(), 0);
   }
+  const uint32_t b = rp.begin[shard], e = rp.begin[shard + 1];
+  hit_keys_.clear();
+  for (uint32_t k = b; k < e; ++k) {
+    const uint32_t j = rp.order[k];
+    // A replayed slice keeps the hits of its first serve. Each key reads
+    // from the store that owns it under the current routing table — after
+    // a migration flip that may no longer be `shard`'s.
+    if (!rp.hit[j]) {
+      const auto& store = stores_[StoreOf(shard, keys[j])];
+      const auto it = store.find(keys[j]);
+      if (it == store.end()) continue;
+      rp.hit[j] = 1;
+      rp.value[j] = it->second;
+    }
+    hit_keys_.push_back(keys[j]);
+  }
+  // The response carries each distinct hit once.
+  std::sort(hit_keys_.begin(), hit_keys_.end());
+  const uint64_t hits = uint64_t(
+      std::unique(hit_keys_.begin(), hit_keys_.end()) - hit_keys_.begin());
+  const uint64_t num_keys = e - b;
   Service svc;
   // The NIC DRAM pipeline fills once, then retires one bucket line per op
   // at bus occupancy — the same facts SmartNicKvs charges per request.
   svc.compute_cycles =
       kvs::SmartNicKvs::DramLatencyCycles(config_.nic) +
-      uint64_t(std::ceil(double(keys.size()) *
+      uint64_t(std::ceil(double(num_keys) *
                          kvs::SmartNicKvs::DramCyclesPerOp(config_.nic)));
-  svc.response_bytes = keys.size() * 8 +
-                       uint64_t(hits.size()) * config_.nic.value_bytes;
+  svc.response_bytes = num_keys * 8 + hits * config_.nic.value_bytes;
   return svc;
 }
 
 void KvsMultiGetWorkload::Merge(uint64_t request_id,
                                 const PartialOutcome& outcome) {
-  std::map<uint32_t, SubOutcome> shard_outcome;
+  RequestPlan& rp = plans_[request_id];
+  FPGADP_CHECK(!rp.begin.empty());  // scattered and not yet merged
+  const size_t shards = rp.begin.size() - 1;
+  std::vector<uint8_t> done(shards, 0);
   for (const PartialOutcome::Slice& slice : outcome.slices) {
-    shard_outcome[slice.shard] = slice.outcome;
+    if (slice.shard < shards) {
+      done[slice.shard] = slice.outcome == SubOutcome::kDone;
+    }
   }
   // Each key's slice is the one Scatter put it in — recorded in the plan,
   // NOT re-derived from the live partitioner, which may have flipped
   // ownership mid-request during a migration.
-  std::unordered_map<uint64_t, uint32_t> key_slice;
-  for (const PartialOutcome::Slice& slice : outcome.slices) {
-    const auto it = plan_.find({request_id, slice.shard});
-    if (it == plan_.end()) continue;
-    for (uint64_t key : it->second) key_slice[key] = slice.shard;
-  }
-  std::vector<GetResult> merged;
-  merged.reserve(requests_[request_id].size());
-  for (uint64_t key : requests_[request_id]) {
-    const uint32_t shard = key_slice.at(key);
-    GetResult r;
-    r.key = key;
-    const auto oc = shard_outcome.find(shard);
-    r.served = oc != shard_outcome.end() && oc->second == SubOutcome::kDone;
-    if (r.served) {
-      const auto& hits = partials_[{request_id, shard}];
-      const auto hit = hits.find(key);
-      if (hit != hits.end()) {
+  const std::vector<uint64_t>& keys = requests_[request_id];
+  std::vector<GetResult> merged(keys.size());
+  for (size_t s = 0; s < shards; ++s) {
+    for (uint32_t k = rp.begin[s]; k < rp.begin[s + 1]; ++k) {
+      const uint32_t j = rp.order[k];
+      GetResult& r = merged[j];
+      r.key = keys[j];
+      r.served = done[s] != 0;
+      if (r.served && !rp.hit.empty() && rp.hit[j]) {
         r.hit = true;
-        r.value = hit->second;
+        r.value = rp.value[j];
       }
     }
-    merged.push_back(r);
   }
-  for (const PartialOutcome::Slice& slice : outcome.slices) {
-    partials_.erase({request_id, slice.shard});
-    plan_.erase({request_id, slice.shard});
-  }
+  rp = RequestPlan{};
   results_[request_id] = std::move(merged);
 }
 
 uint32_t KvsMultiGetWorkload::SliceOwner(uint32_t shard,
                                          uint64_t request_id) {
   if (partitioner_.scheme() != PartitionScheme::kRange) return shard;
-  const auto it = plan_.find({request_id, shard});
-  if (it == plan_.end() || it->second.empty()) return shard;
-  const uint32_t owner = partitioner_.OwnerOf(it->second.front());
-  for (uint64_t key : it->second) {
-    if (partitioner_.OwnerOf(key) != owner) return shard;  // split slice
+  const RequestPlan& rp = plans_[request_id];
+  if (shard + 1 >= rp.begin.size() ||
+      rp.begin[shard] == rp.begin[shard + 1]) {
+    return shard;
+  }
+  const std::vector<uint64_t>& keys = requests_[request_id];
+  const uint32_t owner = partitioner_.OwnerOf(keys[rp.order[rp.begin[shard]]]);
+  for (uint32_t k = rp.begin[shard]; k < rp.begin[shard + 1]; ++k) {
+    if (partitioner_.OwnerOf(keys[rp.order[k]]) != owner) {
+      return shard;  // split slice
+    }
   }
   return owner;
 }

@@ -146,14 +146,24 @@ class KvsMultiGetWorkload : public Workload {
   /// (kRoundRobin has no key ownership; callers pass the serving shard).
   uint32_t StoreOf(uint32_t shard, uint64_t key) const;
 
+  /// A scattered request. `order` lists the submitted key positions grouped
+  /// by the shard Scatter routed them to (shard s owns order[begin[s] ..
+  /// begin[s+1]), in request order). Hits are stored by position, allocated
+  /// at the first Serve.
+  struct RequestPlan {
+    std::vector<uint32_t> order;
+    std::vector<uint32_t> begin;  ///< num_shards + 1 offsets into `order`.
+    std::vector<uint8_t> hit;     ///< Per position.
+    std::vector<uint64_t> value;  ///< Per position; valid where hit is set.
+  };
+
   Partitioner partitioner_;
   Config config_;
   std::vector<std::unordered_map<uint64_t, uint64_t>> stores_;  ///< Per shard.
   std::vector<std::vector<uint64_t>> requests_;  ///< Request id -> keys.
-  std::map<std::pair<uint64_t, uint32_t>, std::vector<uint64_t>> plan_;
-  std::map<std::pair<uint64_t, uint32_t>,
-           std::unordered_map<uint64_t, uint64_t>>
-      partials_;  ///< Hits per (request, shard).
+  /// Request id -> plan; released (emptied) when the gather merges.
+  std::vector<RequestPlan> plans_;
+  std::vector<uint64_t> hit_keys_;  ///< Serve scratch: one slice's hit keys.
   std::map<uint64_t, std::vector<GetResult>> results_;
 };
 

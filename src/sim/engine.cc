@@ -19,14 +19,10 @@ uint32_t g_default_threads = 1;
 bool g_default_fast_forward = true;
 
 /// The scheduling default starts from the FPGADP_ENGINE environment variable
-/// so whole test tiers can sweep the scheduler (tools/check.sh runs the
-/// golden and chaos tiers under FPGADP_ENGINE=event) without a rebuild.
+/// so whole test tiers can sweep the scheduler (tools/check.sh re-runs the
+/// golden and chaos tiers under FPGADP_ENGINE=tick) without a rebuild.
 Scheduling InitialScheduling() {
-  const char* env = std::getenv("FPGADP_ENGINE");
-  if (env != nullptr && std::strcmp(env, "event") == 0) {
-    return Scheduling::kEventDriven;
-  }
-  return Scheduling::kLevelTick;
+  return SchedulingFromEnv(std::getenv("FPGADP_ENGINE"));
 }
 Scheduling g_default_scheduling = InitialScheduling();
 
@@ -62,6 +58,20 @@ void SetDefaultEngineThreads(uint32_t n) {
 uint32_t DefaultEngineThreads() { return g_default_threads; }
 void SetDefaultFastForward(bool on) { g_default_fast_forward = on; }
 bool DefaultFastForward() { return g_default_fast_forward; }
+Scheduling SchedulingFromEnv(const char* value) {
+  if (value == nullptr || std::strcmp(value, "event") == 0) {
+    return Scheduling::kEventDriven;
+  }
+  if (std::strcmp(value, "tick") == 0) return Scheduling::kLevelTick;
+  std::fprintf(stderr,
+               "unknown engine scheduler \"%s\" (FPGADP_ENGINE or "
+               "--engine=): want \"event\" (the default) or \"tick\" (the "
+               "level-tick reference loop)\n",
+               value);
+  std::fflush(stderr);
+  std::abort();
+}
+
 void SetDefaultScheduling(Scheduling s) { g_default_scheduling = s; }
 Scheduling DefaultScheduling() { return g_default_scheduling; }
 
@@ -658,6 +668,17 @@ void Engine::BuildRunList(Cycle c) {
   run_next_sorted_ = true;
 }
 
+Cycle Engine::CalendarHead() {
+  // A jump target must be a live entry: jumping to a stale one visits a
+  // cycle that only pops it and dispatches nothing.
+  while (!heap_.empty() &&
+         next_run_[heap_.front().second] != heap_.front().first) {
+    std::pop_heap(heap_.begin(), heap_.end(), HeapLater);
+    heap_.pop_back();
+  }
+  return heap_.empty() ? kNoEventCycle : heap_.front().first;
+}
+
 void Engine::ArmNext(size_t i) {
   // Always-active modules join every run list; arming them would leave a
   // stale next_run_ behind (they never pass through ReArmModule to clear
@@ -887,22 +908,28 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
       FlushObservers();
       return now_;
     }
-    BuildRunList(now_);
-    if (run_now_.empty()) {
-      if (commit_queue_->empty()) {
-        // Nothing armed and nothing staged: state is frozen until the next
-        // calendar entry. Jump there (clamped to the budget; an empty heap
-        // is a genuine deadlock, which runs the budget out just as
-        // per-cycle ticking would). Attribution settles lazily.
-        const Cycle head = heap_.empty() ? kNoEventCycle : heap_.front().first;
+    // Nothing was armed for this cycle by the previous one, no module is
+    // always active and nothing is staged: only calendar entries can be due,
+    // and state is frozen until the earliest live one. When it lies ahead,
+    // the quiesce check above was all this cycle owed — jump there without
+    // building an empty run list (clamped to the budget; an empty calendar
+    // is a genuine deadlock, which runs the budget out just as per-cycle
+    // ticking would). Attribution settles lazily.
+    if (run_next_.empty() && always_active_.empty() &&
+        commit_queue_->empty()) {
+      const Cycle head = CalendarHead();
+      if (head > now_) {
         now_ = std::min(head, limit);
         dense_streak_ = 0;
         continue;
       }
-      // A harness staged writes between runs: dispatch a commit-only cycle
-      // so the commit edge arms the consumers.
-    } else if (fast_forward_ && !always_active_.empty() &&
-               run_now_.size() == always_active_.size()) {
+    }
+    BuildRunList(now_);
+    // An empty run list now means a harness staged writes between runs:
+    // the cycle dispatches commit-only, so the commit edge arms consumers.
+    FPGADP_DCHECK(!run_now_.empty() || !commit_queue_->empty());
+    if (fast_forward_ && !always_active_.empty() &&
+        run_now_.size() == always_active_.size()) {
       // The run list is exactly the always-active set (it is always a
       // subset). Those modules carry no event certification, so they can
       // only be skipped under the legacy fast-forward conditions: every
@@ -915,7 +942,7 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
         }
       }
       if (streams_empty) {
-        Cycle target = heap_.empty() ? kNoEventCycle : heap_.front().first;
+        Cycle target = CalendarHead();
         for (size_t i : always_active_) {
           const Cycle hint = modules_[i]->NextEventCycle(now_);
           FPGADP_DCHECK(hint == kNoEventCycle || hint == kAlwaysActive ||

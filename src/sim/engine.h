@@ -28,31 +28,39 @@ class ThreadPool;
 
 /// How Run() decides which modules to tick each cycle.
 ///
-///  * kLevelTick — the legacy loop: every module ticks every visited cycle
-///    (fast-forward may skip whole cycles when every stream is empty).
-///  * kEventDriven — per-module activation: a module ticks only when armed
-///    (its own NextEventCycle hint, residual items on a bound input stream,
-///    a stream commit/drain edge, or an explicit WakeUp). Idle modules cost
-///    zero per cycle, fast-forward falls out naturally (the engine jumps to
-///    the event-queue head), and the mode composes with parallel tick.
-///    Bit-identical cycles and counters to kLevelTick by construction;
-///    modules not SetEventSafe() are ticked every visited cycle exactly as
-///    in the legacy loop.
+///  * kEventDriven — the default: per-module activation. A module ticks only
+///    when armed (its own NextEventCycle hint, residual items on a bound
+///    input stream, a stream commit/drain edge, or an explicit WakeUp). Idle
+///    modules cost zero per cycle, fast-forward falls out naturally (the
+///    engine jumps to the event-queue head), and the mode composes with
+///    parallel tick. Modules not SetEventSafe() are ticked every visited
+///    cycle exactly as in the level-tick loop.
+///  * kLevelTick — the reference oracle: every module ticks every visited
+///    cycle (fast-forward may skip whole cycles when every stream is empty).
+///    Event-driven runs must reproduce its cycles and counters bit for bit;
+///    it stays selectable (`--engine=tick`, FPGADP_ENGINE=tick) so tests and
+///    CI can check that.
 enum class Scheduling : uint8_t { kLevelTick, kEventDriven };
 
 /// Process-global defaults new engines are constructed with, so harness
 /// flags (e.g. bench_common's --threads) reach engines built deep inside
 /// pipeline helpers (ExecuteFpga, MicroRec, ACCL) without threading a knob
 /// through every config struct. Per-engine SetThreads/SetFastForward/
-/// SetScheduling override them. The scheduling default additionally reads
-/// the FPGADP_ENGINE environment variable once ("event" selects
-/// kEventDriven), so test tiers can sweep the scheduler without rebuilding.
+/// SetScheduling override them. The scheduling default is kEventDriven
+/// unless the FPGADP_ENGINE environment variable (read once, at startup)
+/// says "tick", so test tiers can sweep the scheduler without rebuilding.
 void SetDefaultEngineThreads(uint32_t n);
 uint32_t DefaultEngineThreads();
 void SetDefaultFastForward(bool on);
 bool DefaultFastForward();
 void SetDefaultScheduling(Scheduling s);
 Scheduling DefaultScheduling();
+
+/// Parses an FPGADP_ENGINE value: null (unset) and "event" select
+/// kEventDriven, "tick" selects kLevelTick. Any other value aborts with a
+/// message naming both accepted values — a typo must not silently pick a
+/// scheduler.
+Scheduling SchedulingFromEnv(const char* value);
 
 /// Drives a set of modules and streams with a two-phase, cycle-stepped loop:
 /// each cycle every module Tick()s (reads are visible, writes staged), then
@@ -72,18 +80,27 @@ Scheduling DefaultScheduling();
 /// them never changes simulated cycle counts, and when disabled the cost is
 /// one pointer check per cycle.
 ///
-/// Performance modes — both preserve cycle counts and every per-module
-/// counter bit-for-bit (locked down by tests/golden_cycles_test.cc and
-/// tests/engine_parallel_test.cc):
+/// Performance modes — all preserve cycle counts and every per-module
+/// counter bit-for-bit (locked down by tests/golden_cycles_test.cc,
+/// tests/engine_parallel_test.cc and tests/engine_event_test.cc):
 ///
-///  * Fast-forward (on by default, SetFastForward): when every stream is
-///    empty, Run() asks each module for its NextEventCycle() hint and jumps
-///    straight to the earliest one, bulk-attributing the skipped cycles via
-///    Module::AccountSkip. Idle tails and retransmission-timer waits
-///    collapse from O(cycles) to O(events). Only Run() fast-forwards;
-///    manual Step() driving always advances one real cycle. Attaching a
-///    trace writer or metrics registry disables skipping for that engine
-///    (per-cycle probes need every cycle).
+///  * Event-driven scheduling (the default; SetScheduling selects the
+///    level-tick reference loop instead): Run() keeps a per-module
+///    activation state plus a calendar heap and ticks only armed modules;
+///    stream commit/drain edges and explicit WakeUp() calls re-arm sleepers,
+///    and cycles with no armed work are jumped over entirely. Host cost
+///    scales with events, not cycles x modules. Composes with parallel tick
+///    (the armed set is dispatched level-by-level). See DESIGN.md
+///    "Event-driven core".
+///
+///  * Fast-forward (on by default, SetFastForward) — a level-tick feature:
+///    when every stream is empty, Run() asks each module for its
+///    NextEventCycle() hint and jumps straight to the earliest one,
+///    bulk-attributing the skipped cycles via Module::AccountSkip. Idle tails
+///    and retransmission-timer waits collapse from O(cycles) to O(events).
+///    The event scheduler jumps on its own and consults the flag only for
+///    modules that are not event-certified. Only Run() fast-forwards; manual
+///    Step() driving always advances one real cycle.
 ///
 ///  * Parallel tick (SetThreads): module Tick()s and stream Commit()s are
 ///    sharded across a ThreadPool. Ticks run level-by-level over the
@@ -99,12 +116,9 @@ Scheduling DefaultScheduling();
 ///    Probes and quiesce checks stay on the coordinating thread, so all
 ///    observer state remains single-threaded.
 ///
-///  * Event-driven scheduling (SetScheduling(Scheduling::kEventDriven)):
-///    Run() keeps a per-module activation state plus a calendar heap and
-///    ticks only armed modules; stream commit/drain edges and explicit
-///    WakeUp() calls re-arm sleepers, and cycles with no armed work are
-///    jumped over entirely. Composes with parallel tick (the armed set is
-///    dispatched level-by-level). See DESIGN.md "Event-driven core".
+/// Attaching a trace writer or metrics registry routes that engine's Run()
+/// through the level-tick loop without fast-forward: per-cycle probes need
+/// every cycle.
 class Engine {
  public:
   /// `clock_hz` is the modeled kernel clock, used only by reporting helpers.
@@ -140,10 +154,11 @@ class Engine {
   bool fast_forward() const { return fast_forward_; }
 
   /// Selects the Run() scheduler (see Scheduling). Event-driven runs are
-  /// bit-identical to level-tick runs; the legacy path stays available for
-  /// differential testing (`--engine=` in benches). Attaching a trace
-  /// writer or metrics registry forces the legacy path for that engine —
-  /// per-cycle probes need every cycle — exactly like fast-forward.
+  /// bit-identical to level-tick runs; the level-tick loop stays available
+  /// as the reference for differential testing (`--engine=tick` in
+  /// benches). Attaching a trace writer or metrics registry forces the
+  /// level-tick path for that engine — per-cycle probes need every cycle —
+  /// exactly like fast-forward.
   void SetScheduling(Scheduling s) { scheduling_ = s; }
   Scheduling scheduling() const { return scheduling_; }
 
@@ -261,6 +276,9 @@ class Engine {
   bool EventQuiesced();
   /// Pops the run list for cycle `c` into run_now_ (sorted, deduped).
   void BuildRunList(Cycle c);
+  /// Drops stale calendar heads; returns the earliest live entry's cycle, or
+  /// kNoEventCycle when the calendar is empty.
+  Cycle CalendarHead();
   /// Arms every event-certified module at now_ and drops the calendar:
   /// the event loop's entry seeding, also used to re-enter bookkeeping
   /// after a saturated phase (see RunEventDriven).
@@ -289,7 +307,7 @@ class Engine {
   std::unique_ptr<MetricsState> metrics_;
   bool fast_forward_ = true;
   uint32_t threads_ = 1;
-  Scheduling scheduling_ = Scheduling::kLevelTick;
+  Scheduling scheduling_ = Scheduling::kEventDriven;
   std::unique_ptr<ThreadPool> pool_;
   // Parallel tick schedule, rebuilt when the module/stream set changes:
   // levels_ partitions modules so that no two modules in one level share a

@@ -120,6 +120,11 @@ ChaosResult RunChaos(ArrivalKind kind, uint64_t seed, uint32_t threads,
   cluster.engine().AddModule(&door);
   cluster.engine().SetThreads(threads);
   cluster.engine().SetFastForward(fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!fast_forward) {
+    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
+  }
 
   auto cycles = cluster.Run(5u << 20);
   EXPECT_TRUE(cycles.ok());

@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -196,6 +197,7 @@ class CancellableTimer : public Module {
     SetEventSafe();
   }
   void Cancel() { cancelled_ = true; }
+  void Extend(Cycle deadline) { deadline_ = deadline; }
   void Tick(Cycle c) override {
     if (!done_ && (cancelled_ || c >= deadline_)) {
       MarkBusy();
@@ -737,6 +739,91 @@ TEST(EngineEventTest, StepRunInterleavingMatchesLegacy) {
   const SimpleRun ref = run(Scheduling::kLevelTick);
   const SimpleRun event = run(Scheduling::kEventDriven);
   ExpectSameRun(ref, event, "step-run-interleave");
+}
+
+TEST(EngineEventTest, WakeSupersedingTimerLeavesStaleHeadMatchesLegacy) {
+  // The timer's cycle-60 calendar entry goes stale when the canceller's wake
+  // re-arms it at cycle 10; its post-wake hint (80) is the only live entry.
+  // The event loop must jump past the stale head without visiting it and
+  // still reproduce the legacy run.
+  auto run = [](Scheduling s) {
+    SimpleRun r;
+    CancellableTimer timer("timer", /*deadline=*/60);
+    class Poker : public Module {
+     public:
+      explicit Poker(CancellableTimer* t) : Module("poker"), t_(t) {
+        SetEventSafe();
+      }
+      void Tick(Cycle c) override {
+        if (!fired_ && c >= 10) {
+          t_->WakeUp();
+          t_->Extend(80);
+          fired_ = true;
+          MarkBusy();
+        }
+      }
+      bool Idle() const override { return fired_; }
+      Cycle NextEventCycle(Cycle) const override {
+        return fired_ ? kNoEventCycle : Cycle(10);
+      }
+
+     private:
+      CancellableTimer* t_;
+      bool fired_ = false;
+    } poker(&timer);
+    Engine e;
+    e.SetScheduling(s);
+    e.AddModule(&poker);
+    e.AddModule(&timer);
+    auto cycles = e.Run(100000);
+    EXPECT_TRUE(cycles.ok());
+    r.cycles = cycles.ok() ? *cycles : 0;
+    r.buckets = {BucketsOf(poker), BucketsOf(timer)};
+    return r;
+  };
+  const SimpleRun ref = run(Scheduling::kLevelTick);
+  const SimpleRun event = run(Scheduling::kEventDriven);
+  ExpectSameRun(ref, event, "stale-head");
+  EXPECT_EQ(event.cycles, Cycle(81));
+}
+
+TEST(EngineSchedulingEnvTest, AcceptsEventAndTick) {
+  EXPECT_EQ(sim::SchedulingFromEnv(nullptr), Scheduling::kEventDriven);
+  EXPECT_EQ(sim::SchedulingFromEnv("event"), Scheduling::kEventDriven);
+  EXPECT_EQ(sim::SchedulingFromEnv("tick"), Scheduling::kLevelTick);
+  // The process default is what the environment selected (event when
+  // FPGADP_ENGINE is unset), and new engines start on it.
+  EXPECT_EQ(sim::DefaultScheduling(),
+            sim::SchedulingFromEnv(std::getenv("FPGADP_ENGINE")));
+  EXPECT_EQ(Engine().scheduling(), sim::DefaultScheduling());
+}
+
+TEST(EngineSchedulingEnvDeathTest, RejectsAnyOtherValue) {
+  for (const char* bad : {"", "Event", "TICK", "events", "level", "1"}) {
+    EXPECT_DEATH(sim::SchedulingFromEnv(bad),
+                 "want \"event\" .*or \"tick\"")
+        << "value '" << bad << "'";
+  }
+}
+
+TEST(EngineSchedulingEnvDeathTest, MisspelledEnvironmentFailsAtStartup) {
+  // The threadsafe style re-executes the test binary, so the child reads
+  // the variable during static initialization exactly as any program
+  // linking the simulator would.
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  const char* prev = std::getenv("FPGADP_ENGINE");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("FPGADP_ENGINE", "evnt", /*overwrite=*/1);
+  EXPECT_DEATH(std::abort(), "unknown engine scheduler \"evnt\"");
+  if (prev != nullptr) {
+    setenv("FPGADP_ENGINE", saved.c_str(), 1);
+  } else {
+    unsetenv("FPGADP_ENGINE");
+  }
 }
 
 // ---------------------------------------------------------------------------

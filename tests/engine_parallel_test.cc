@@ -105,6 +105,9 @@ PipelineResult RunKernelPipeline(uint32_t threads, bool fast_forward) {
   sim::Engine engine;
   engine.SetThreads(threads);
   engine.SetFastForward(fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!fast_forward) engine.SetScheduling(sim::Scheduling::kLevelTick);
   engine.AddModule(&src);
   engine.AddModule(&map);
   engine.AddModule(&wire);
@@ -277,6 +280,9 @@ LossyRdmaResult RunLossyRdma(uint32_t threads, bool fast_forward,
   sim::Engine engine;
   engine.SetThreads(threads);
   engine.SetFastForward(fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!fast_forward) engine.SetScheduling(sim::Scheduling::kLevelTick);
   fab.RegisterWith(engine);
   engine.AddModule(&a);
   engine.AddModule(&b);

@@ -218,6 +218,11 @@ AnnsRun RunAnnsGather(const GatherConfig& gather, uint32_t num_shards,
   ShardCluster cluster(&wl, cc);
   cluster.engine().SetThreads(mode.threads);
   cluster.engine().SetFastForward(mode.fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!mode.fast_forward) {
+    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
+  }
   std::vector<uint64_t> ids;
   for (size_t q : query_idx) {
     ids.push_back(wl.AddQuery(data.QueryVector(q)));
@@ -304,6 +309,11 @@ KvsRun RunKvsGather(const GatherConfig& gather, uint32_t num_shards,
   ShardCluster cluster(&wl, cc);
   cluster.engine().SetThreads(mode.threads);
   cluster.engine().SetFastForward(mode.fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!mode.fast_forward) {
+    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
+  }
   std::vector<uint64_t> ids;
   for (size_t r = 0; r < num_requests; ++r) {
     std::vector<uint64_t> keys;
@@ -404,6 +414,11 @@ JoinRun RunJoinGather(const GatherConfig& gather, uint32_t num_shards,
   ShardCluster cluster(&wl, cc);
   cluster.engine().SetThreads(mode.threads);
   cluster.engine().SetFastForward(mode.fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!mode.fast_forward) {
+    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
+  }
   cluster.Submit(wl.request_id());
   auto cycles = cluster.Run();
   JoinRun r;

@@ -51,16 +51,26 @@ struct RunOpts {
 /// Installs the engine-default knobs for the scope of one scenario run, so
 /// engines constructed deep inside helpers (ExecuteFpga, MicroRec, ACCL)
 /// pick them up exactly like bench_common's --threads / --no-fast-forward.
+/// Fast-forward off also selects the every-cycle level-tick oracle, so the
+/// invariance checks cross schedulers.
 class ScopedEngineDefaults {
  public:
-  explicit ScopedEngineDefaults(const RunOpts& opts) {
+  explicit ScopedEngineDefaults(const RunOpts& opts)
+      : scheduling_(sim::DefaultScheduling()) {
     sim::SetDefaultEngineThreads(opts.threads);
     sim::SetDefaultFastForward(opts.fast_forward);
+    if (!opts.fast_forward) {
+      sim::SetDefaultScheduling(sim::Scheduling::kLevelTick);
+    }
   }
   ~ScopedEngineDefaults() {
     sim::SetDefaultEngineThreads(1);
     sim::SetDefaultFastForward(true);
+    sim::SetDefaultScheduling(scheduling_);
   }
+
+ private:
+  sim::Scheduling scheduling_;
 };
 
 /// bench_rdma's TimedReads harness at fixed configuration: `count`

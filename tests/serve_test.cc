@@ -347,6 +347,11 @@ DoorRun RunDoor(shard::AdmissionPolicy policy, ArrivalKind kind, double rho,
   cluster.engine().AddModule(&door);
   cluster.engine().SetThreads(threads);
   cluster.engine().SetFastForward(fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!fast_forward) {
+    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
+  }
 
   auto cycles = cluster.Run();
   EXPECT_TRUE(cycles.ok());

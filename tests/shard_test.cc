@@ -386,6 +386,11 @@ ModeRun RunAnnsCluster(const anns::Dataset& data,
   ShardCluster cluster(&wl, cc);
   cluster.engine().SetThreads(threads);
   cluster.engine().SetFastForward(fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!fast_forward) {
+    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
+  }
   std::vector<uint64_t> ids;
   for (size_t q = 0; q < data.num_queries(); ++q) {
     ids.push_back(wl.AddQuery(data.QueryVector(q)));
@@ -565,6 +570,11 @@ std::vector<PartialOutcome> RunWithFailover(Workload* wl,
   ShardCluster cluster(wl, cc);
   cluster.engine().SetThreads(fp.mode.threads);
   cluster.engine().SetFastForward(fp.mode.fast_forward);
+  // Fast-forward off selects the every-cycle level-tick oracle, so the
+  // mode comparison also crosses schedulers.
+  if (!fp.mode.fast_forward) {
+    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
+  }
   net::FaultInjector::Config fc;
   fc.flap_down_cycles = 1u << 30;  // the node never comes back
   net::FaultInjector injector(fc);

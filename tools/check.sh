@@ -14,12 +14,13 @@
 # re-checks the golden line-rate cycle count through the bench path) —
 # with per-tier wall-clock timing so a slow tier is visible at a glance.
 # The golden and chaos tiers run on BOTH presets: a cycle count (or a
-# recovery path) that drifts only under sanitizers is still a bug. Those
-# two tiers then run AGAIN under FPGADP_ENGINE=event (reported as e.g.
-# "default:golden-event"): every golden baseline and chaos recovery
-# timeline must be bit-identical under the event-driven scheduler, on
-# both presets — the sanitizer pass also exercises the event core's
-# arming DCHECKs, which are compiled out of the default build. The
+# recovery path) that drifts only under sanitizers is still a bug. The
+# default scheduler is the event-driven core, so those two tiers then run
+# AGAIN under FPGADP_ENGINE=tick (reported as e.g. "default:golden-tick"):
+# every golden baseline and chaos recovery timeline must be bit-identical
+# under the level-tick reference loop, on both presets — the sanitizer pass
+# also exercises the event core's arming DCHECKs, which are compiled out of
+# the default build. The
 # perf tier runs on the default preset only — sanitizer timings are not
 # representative, and its correctness content is already covered there.
 #
@@ -86,12 +87,12 @@ for preset in "${PRESETS[@]}"; do
     echo "--- [$preset] $label tier took $((SECONDS - start))s ---"
   done
   for label in golden chaos; do
-    echo "=== [$preset] test: -L $label (FPGADP_ENGINE=event) ==="
+    echo "=== [$preset] test: -L $label (FPGADP_ENGINE=tick) ==="
     start=$SECONDS
-    if ! FPGADP_ENGINE=event ctest --preset "$preset" -j "$JOBS" -L "$label"; then
-      FAILURES+=("$preset:$label-event")
+    if ! FPGADP_ENGINE=tick ctest --preset "$preset" -j "$JOBS" -L "$label"; then
+      FAILURES+=("$preset:$label-tick")
     fi
-    echo "--- [$preset] $label-event tier took $((SECONDS - start))s ---"
+    echo "--- [$preset] $label-tick tier took $((SECONDS - start))s ---"
   done
 done
 
@@ -100,4 +101,4 @@ if [[ ${#FAILURES[@]} -gt 0 ]]; then
   exit 1
 fi
 echo "All presets green: ${PRESETS[*]} (tiers: ${LABELS[*]} + golden/chaos" \
-     "under FPGADP_ENGINE=event + perf on default)"
+     "under FPGADP_ENGINE=tick + perf on default)"

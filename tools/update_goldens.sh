@@ -12,11 +12,12 @@ FPGADP_UPDATE_GOLDENS=1 ./build/tests/golden_cycles_test \
   --gtest_filter='GoldenCycles.MatchesBaseline'
 
 # The refreshed baselines must hold under BOTH engines before they are
-# worth committing: a golden that only the tick engine reproduces would
-# lock in an equivalence bug, not a timing model.
+# worth committing: a golden that only the default event scheduler
+# reproduces would lock in an equivalence bug, not a timing model, so the
+# level-tick reference loop re-verifies it.
 ./build/tests/golden_cycles_test --gtest_filter='GoldenCycles.MatchesBaseline'
-FPGADP_ENGINE=event ./build/tests/golden_cycles_test \
+FPGADP_ENGINE=tick ./build/tests/golden_cycles_test \
   --gtest_filter='GoldenCycles.MatchesBaseline'
 
-echo "updated tests/golden/cycles.json (verified under tick + event engines):"
+echo "updated tests/golden/cycles.json (verified under event + tick engines):"
 cat tests/golden/cycles.json
