@@ -24,11 +24,6 @@ Session::Session(int argc, char** argv)
       fault_seed_ = std::strtoull(arg + 13, nullptr, 10);
     } else if (std::strncmp(arg, "--drop-rate=", 12) == 0) {
       drop_rate_ = std::strtod(arg + 12, nullptr);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads_ = static_cast<uint32_t>(std::strtoul(arg + 10, nullptr, 10));
-      if (threads_ == 0) threads_ = 1;
-    } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
-      fast_forward_ = false;
     } else if (std::strncmp(arg, "--engine=", 9) == 0) {
       // Same vocabulary (and the same loud failure on anything else) as
       // the FPGADP_ENGINE environment variable.
@@ -43,10 +38,8 @@ Session::Session(int argc, char** argv)
   }
   if (metrics_) obs::SetGlobalMetrics(metrics_.get());
   // Installed process-wide so engines constructed inside helpers
-  // (ExecuteFpga, MicroRec, ACCL) inherit them without config plumbing.
-  sim::SetDefaultEngineThreads(threads_);
-  sim::SetDefaultFastForward(fast_forward_);
-  // An explicit --engine= flag overrides the FPGADP_ENGINE environment
+  // (ExecuteFpga, MicroRec, ACCL) inherit it without config plumbing. An
+  // explicit --engine= flag overrides the FPGADP_ENGINE environment
   // variable (already folded into the process default); no flag leaves the
   // environment's choice standing.
   if (engine_flag_seen_) {
@@ -116,8 +109,6 @@ void WriteJsonNumber(std::ostream& os, double value) {
 }  // namespace
 
 Session::~Session() {
-  sim::SetDefaultEngineThreads(1);
-  sim::SetDefaultFastForward(true);
   if (!json_path_.empty()) {
     const double wall_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

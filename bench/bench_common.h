@@ -32,24 +32,14 @@ namespace fpgadp::bench {
 ///                    lossy-fabric runs (default 1).
 ///   --drop-rate=X    Per-packet drop probability in [0,1) for those
 ///                    benches; 0 (default) keeps the fabric loss-free.
-///   --threads=N      Worker threads for every engine's parallel tick
-///                    (default 1 = serial). Results are bit-identical at
-///                    any thread count; engines with modules not certified
-///                    parallel-safe fall back to serial automatically.
-///   --no-fast-forward
-///                    Disable fast-forwarding in Engine::Run() (cycle
-///                    counts are identical either way; this exists to
-///                    measure the speedup and to debug hint bugs). Only
-///                    the level-tick loop skips by fast-forward; the event
-///                    scheduler jumps idle cycles regardless and consults
-///                    the flag only for modules not certified event-safe.
 ///   --engine=MODE    Run() scheduler for every engine: "event" (default,
-///                    the event-driven core) or "tick" (the level-tick
-///                    reference loop); any other value aborts. Cycle counts
-///                    are bit-identical across modes; the flag exists to
-///                    cross-check the schedulers and measure simulator
-///                    throughput. Overrides the FPGADP_ENGINE environment
-///                    variable.
+///                    the event-driven core) or "tick" (the every-cycle
+///                    level-tick reference loop); any other value aborts.
+///                    Cycle counts are bit-identical across modes; the
+///                    flag exists to cross-check the schedulers and measure
+///                    simulator throughput. Overrides the FPGADP_ENGINE
+///                    environment variable. Engines tick on one thread;
+///                    there is no thread-count or fast-forward knob.
 ///   --json=<file>    Dump every result row the bench recorded with
 ///                    AddResult(), plus the bench's total wall-clock, as a
 ///                    JSON file on exit — the machine-readable complement
@@ -78,10 +68,8 @@ class Session {
   uint64_t fault_seed() const { return fault_seed_; }
   double drop_rate() const { return drop_rate_; }
 
-  /// Engine execution knobs, installed process-wide in the constructor so
-  /// they reach engines constructed deep inside pipeline helpers.
-  uint32_t threads() const { return threads_; }
-  bool fast_forward() const { return fast_forward_; }
+  /// The engine scheduler, installed process-wide in the constructor so it
+  /// reaches engines constructed deep inside pipeline helpers.
   bool event_engine() const { return event_engine_; }
 
   /// The registry --metrics dumps, for benches that want to add their own
@@ -118,8 +106,6 @@ class Session {
   std::chrono::steady_clock::time_point start_;
   uint64_t fault_seed_ = 1;
   double drop_rate_ = 0;
-  uint32_t threads_ = 1;
-  bool fast_forward_ = true;
   bool event_engine_ = false;
   bool engine_flag_seen_ = false;
 };

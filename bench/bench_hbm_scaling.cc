@@ -6,14 +6,10 @@
 // HBM pseudo-channels serving the tables (until another stage dominates),
 // and SRAM placement removes lookups from HBM entirely.
 
-#include <algorithm>
-#include <chrono>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "src/common/table_printer.h"
-#include "src/memory/channel.h"
 #include "src/microrec/cartesian.h"
 #include "src/microrec/engine.h"
 #include "src/microrec/model.h"
@@ -23,101 +19,6 @@
 
 using namespace fpgadp;
 using namespace fpgadp::microrec;
-
-namespace {
-
-/// Drives one HBM pseudo-channel with a fixed stream of random-granule
-/// reads; certified parallel-safe so the engine can shard a many-channel
-/// stress run across worker threads.
-class ChannelReader : public sim::Module {
- public:
-  ChannelReader(std::string name, sim::Stream<mem::MemRequest>* req,
-                sim::Stream<mem::MemResponse>* resp, uint64_t total)
-      : sim::Module(std::move(name)), req_(req), resp_(resp), to_issue_(total),
-        to_receive_(total) {
-    req_->BindProducer(this);
-    resp_->BindConsumer(this);
-    SetParallelSafe();
-  }
-
-  void Tick(sim::Cycle cycle) override {
-    bool progressed = false;
-    while (to_issue_ > 0 && req_->CanWrite()) {
-      mem::MemRequest r;
-      r.id = to_issue_;
-      // Strided sub-granule reads: the worst case for bus efficiency.
-      r.addr = to_issue_ * 192;
-      r.bytes = 32;
-      req_->Write(r);
-      --to_issue_;
-      progressed = true;
-    }
-    while (resp_->CanRead()) {
-      resp_->Read();
-      --to_receive_;
-      progressed = true;
-    }
-    if (progressed) {
-      MarkBusy();
-    } else if (to_issue_ > 0) {
-      MarkStall(sim::StallKind::kOutputBlocked);
-    }
-  }
-
-  bool Idle() const override { return to_issue_ == 0 && to_receive_ == 0; }
-
-  sim::Cycle NextEventCycle(sim::Cycle now) const override {
-    // With requests still to issue the reader acts every cycle; once all
-    // are in flight it is reactive (waiting on channel responses).
-    return to_issue_ > 0 ? now : sim::kNoEventCycle;
-  }
-
- private:
-  sim::Stream<mem::MemRequest>* req_;
-  sim::Stream<mem::MemResponse>* resp_;
-  uint64_t to_issue_;
-  uint64_t to_receive_;
-};
-
-/// Runs `channels` independent channel+reader pairs to completion on
-/// `threads` workers; returns elapsed simulated cycles and reports wall
-/// time through `out_ms`.
-uint64_t ChannelStressRun(uint32_t channels, uint64_t reads_per_channel,
-                          uint32_t threads, double* out_ms) {
-  sim::Engine engine;
-  engine.SetThreads(threads);
-  // Measure the raw tick loop: level-tick scheduling, no fast-forward.
-  engine.SetScheduling(sim::Scheduling::kLevelTick);
-  engine.SetFastForward(false);
-  std::vector<std::unique_ptr<sim::Stream<mem::MemRequest>>> reqs;
-  std::vector<std::unique_ptr<sim::Stream<mem::MemResponse>>> resps;
-  std::vector<std::unique_ptr<mem::MemoryChannel>> chans;
-  std::vector<std::unique_ptr<ChannelReader>> readers;
-  mem::MemoryChannel::Config mc;  // HBM2 pseudo-channel defaults
-  for (uint32_t c = 0; c < channels; ++c) {
-    const std::string tag = "ch" + std::to_string(c);
-    reqs.push_back(std::make_unique<sim::Stream<mem::MemRequest>>(
-        tag + ".req", 16));
-    resps.push_back(std::make_unique<sim::Stream<mem::MemResponse>>(
-        tag + ".resp", 16));
-    chans.push_back(std::make_unique<mem::MemoryChannel>(
-        "hbm." + tag, reqs.back().get(), resps.back().get(), mc));
-    readers.push_back(std::make_unique<ChannelReader>(
-        "rd." + tag, reqs.back().get(), resps.back().get(),
-        reads_per_channel));
-    engine.AddModule(readers.back().get());
-    engine.AddModule(chans.back().get());
-    engine.AddStream(reqs.back().get());
-    engine.AddStream(resps.back().get());
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto run = engine.Run(1ull << 30);
-  const auto t1 = std::chrono::steady_clock::now();
-  *out_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  return run.ok() ? *run : 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   fpgadp::bench::Session session(argc, argv);
@@ -179,32 +80,6 @@ int main(int argc, char** argv) {
               TablePrinter::FmtCount(uint64_t(stats->inferences_per_sec))});
   }
   s.Print(std::cout);
-
-  // Parallel-tick stress: 32 independent channel+reader pairs is exactly
-  // the shape the level scheduler shards well (no cross-channel streams).
-  // Simulated cycle counts must be bit-identical at any thread count; only
-  // wall-clock time may change (and only improves with real spare cores).
-  const uint32_t stress_threads = std::max(session.threads(), 2u);
-  std::cout << "\n--- parallel-tick stress: 32 channels x 20k reads, "
-               "1 vs " << stress_threads << " threads ---\n";
-  double ms_serial = 0, ms_parallel = 0;
-  const uint64_t cyc_serial = ChannelStressRun(32, 20000, 1, &ms_serial);
-  const uint64_t cyc_parallel =
-      ChannelStressRun(32, 20000, stress_threads, &ms_parallel);
-  if (cyc_serial == 0 || cyc_serial != cyc_parallel) {
-    std::cerr << "FAIL: thread count changed simulated cycles ("
-              << cyc_serial << " vs " << cyc_parallel << ")\n";
-    return 1;
-  }
-  TablePrinter pt({"threads", "sim cycles", "wall time"});
-  pt.AddRow({"1", TablePrinter::FmtCount(cyc_serial),
-             TablePrinter::Fmt(ms_serial, 1) + " ms"});
-  pt.AddRow({std::to_string(stress_threads),
-             TablePrinter::FmtCount(cyc_parallel),
-             TablePrinter::Fmt(ms_parallel, 1) + " ms"});
-  pt.Print(std::cout);
-  std::cout << "determinism check: cycle counts bit-identical across thread "
-               "counts\n";
 
   std::cout << "\npaper expectation: near-linear scaling while the channels "
                "are the bottleneck,\nflattening once lookup latency / other "

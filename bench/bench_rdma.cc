@@ -170,16 +170,16 @@ int main(int argc, char** argv) {
   }
   gp.Print(std::cout);
 
-  // E19 — fast-forward speedup on an idle-heavy timer workload. A very
+  // E19 — event-scheduler speedup on an idle-heavy timer workload. A very
   // lossy fabric with long retransmission timeouts makes the simulation
-  // spend almost all its cycles waiting on RTO timers; event-driven
-  // fast-forwarding collapses those waits to O(events). Cycle counts must
-  // be bit-identical with and without fast-forward — only wall-clock time
-  // may change.
-  std::cout << "\n=== E19: fast-forward wall-clock speedup (16 x 4 KiB "
+  // spend almost all its cycles waiting on RTO timers; the event scheduler
+  // jumps those waits, costing O(events) instead of O(cycles). Cycle
+  // counts must be bit-identical to the every-cycle level-tick reference —
+  // only wall-clock time may change.
+  std::cout << "\n=== E19: event-scheduler wall-clock speedup (16 x 4 KiB "
                "writes, drop rate 0.30,\nRTO 100k cycles, seed "
             << session.fault_seed() << ") ===\n\n";
-  auto timer_workload = [&](bool fast_forward, uint64_t* out_cycles,
+  auto timer_workload = [&](sim::Scheduling scheduling, uint64_t* out_cycles,
                             uint64_t* out_retransmits) -> bool {
     FaultInjector::Config fc;
     fc.seed = session.fault_seed();
@@ -189,10 +189,7 @@ int main(int argc, char** argv) {
     rel.rto_cycles = 100000;  // long timers => idle-dominated simulation
     rel.max_retries = 32;     // never give up at this drop rate
     Harness h(&injector, rel);
-    h.engine.SetFastForward(fast_forward);
-    // The cycle-stepped baseline is the level-tick loop: the default event
-    // scheduler jumps idle gaps with or without the fast-forward flag.
-    if (!fast_forward) h.engine.SetScheduling(sim::Scheduling::kLevelTick);
+    h.engine.SetScheduling(scheduling);
     for (int i = 0; i < 16; ++i) {
       h.a.PostWrite(1, uint64_t(i) * 4096, 4096, i);
     }
@@ -204,16 +201,18 @@ int main(int argc, char** argv) {
   };
   uint64_t cyc_slow = 0, cyc_fast = 0, rtx_slow = 0, rtx_fast = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  const bool ok_slow = timer_workload(false, &cyc_slow, &rtx_slow);
+  const bool ok_slow =
+      timer_workload(sim::Scheduling::kLevelTick, &cyc_slow, &rtx_slow);
   const auto t1 = std::chrono::steady_clock::now();
-  const bool ok_fast = timer_workload(true, &cyc_fast, &rtx_fast);
+  const bool ok_fast =
+      timer_workload(sim::Scheduling::kEventDriven, &cyc_fast, &rtx_fast);
   const auto t2 = std::chrono::steady_clock::now();
   if (!ok_slow || !ok_fast) {
-    std::cerr << "FAIL: fast-forward workload did not complete\n";
+    std::cerr << "FAIL: timer workload did not complete\n";
     return 1;
   }
   if (cyc_slow != cyc_fast || rtx_slow != rtx_fast) {
-    std::cerr << "FAIL: fast-forward changed simulation results (cycles "
+    std::cerr << "FAIL: event scheduler changed simulation results (cycles "
               << cyc_slow << " vs " << cyc_fast << ", retransmits "
               << rtx_slow << " vs " << rtx_fast << ")\n";
     return 1;
@@ -223,14 +222,14 @@ int main(int argc, char** argv) {
   const double ms_fast =
       std::chrono::duration<double, std::milli>(t2 - t1).count();
   TablePrinter ff({"mode", "sim cycles", "retransmits", "wall time"});
-  ff.AddRow({"cycle-stepped", TablePrinter::FmtCount(cyc_slow),
+  ff.AddRow({"level tick", TablePrinter::FmtCount(cyc_slow),
              TablePrinter::FmtCount(rtx_slow),
              TablePrinter::Fmt(ms_slow, 1) + " ms"});
-  ff.AddRow({"fast-forward", TablePrinter::FmtCount(cyc_fast),
+  ff.AddRow({"event", TablePrinter::FmtCount(cyc_fast),
              TablePrinter::FmtCount(rtx_fast),
              TablePrinter::Fmt(ms_fast, 1) + " ms"});
   ff.Print(std::cout);
-  std::cout << "\nfast-forward check: results bit-identical; speedup "
+  std::cout << "\nevent-vs-reference check: results bit-identical; speedup "
             << TablePrinter::Fmt(ms_slow / std::max(ms_fast, 1e-3), 1)
             << "x\n";
 

@@ -14,9 +14,8 @@
 // Latencies land in per-class obs::LatencyHistogram (p50/p99/p999). Three
 // hard guarantees are asserted:
 //   * every configuration reports bit-identical simulated cycles AND
-//     bit-identical per-class latency histograms across serial, threaded,
-//     and no-fast-forward level-tick engine modes (serial and threaded run
-//     the default scheduler; noff is the every-cycle reference loop);
+//     bit-identical per-class latency histograms under the default (event)
+//     scheduler and the every-cycle level-tick reference loop;
 //   * interactive p99 under the qd policy is monotone non-decreasing in
 //     offered load (the knee curve only bends up);
 //   * at the overload point, the slo policy holds interactive p99 within
@@ -71,15 +70,19 @@ constexpr double kBatchWeight = 0.2;
 constexpr double kMixMeanSvc =
     kInteractiveWeight * kInteractiveSvc + kBatchWeight * kBatchSvc;
 
-/// An engine mode the purity check compares. "serial" and "thrN" run the
-/// process-default scheduler; "noff" is the every-cycle level-tick loop
-/// with fast-forward off, the reference the others must reproduce.
+/// An engine mode the purity check compares. "default" runs the
+/// process-default scheduler; "tick" is the every-cycle level-tick loop,
+/// the reference the default must reproduce.
 struct Mode {
   std::string name;
-  uint32_t threads = 1;
-  bool fast_forward = true;
-  sim::Scheduling scheduling = sim::DefaultScheduling();
+  sim::Scheduling scheduling;
 };
+
+/// The purity check's mode set.
+std::vector<Mode> PurityModes() {
+  return {{"default", sim::DefaultScheduling()},
+          {"tick", sim::Scheduling::kLevelTick}};
+}
 
 struct RunConfig {
   std::string policy;  // "qd" or "slo"
@@ -190,8 +193,6 @@ RunOut RunOne(const RunConfig& rc, const Mode& mode) {
   std::vector<serve::FrontDoor::CompletionRecord> completions;
   if (rc.flap_cycle > 0) door.set_completion_log(&completions);
   cluster.engine().AddModule(&door);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
   cluster.engine().SetScheduling(mode.scheduling);
 
   auto cycles = cluster.Run(1ull << 32);
@@ -414,8 +415,8 @@ int RunFailoverSweep(bench::Session& session, bool smoke,
     }
   }
   t.Print(std::cout);
-  std::cout << "\n(all rows asserted bit-identical across serial / threaded "
-               "/ level-tick no-fast-forward engine modes; recovery budget "
+  std::cout << "\n(all rows asserted bit-identical under the default "
+               "scheduler and the level-tick reference loop; recovery budget "
             << kRecoveryBudget << " cycles, see EXPERIMENTS.md E25)\n";
   return ok ? 0 : 1;
 }
@@ -437,11 +438,7 @@ int main(int argc, char** argv) {
   session.SetDefaultJsonPath(failover ? "BENCH_failover.json"
                                       : "BENCH_serving_slo.json");
   if (failover) {
-    const uint32_t nt = session.threads() > 1 ? session.threads() : 4;
-    return RunFailoverSweep(session, smoke,
-                            {{"serial", 1, true},
-                             {"noff", 1, false, sim::Scheduling::kLevelTick},
-                             {"thr" + std::to_string(nt), nt, true}});
+    return RunFailoverSweep(session, smoke, PurityModes());
   }
   shard::GatherConfig gather;
   if (gather_flag == "auto") {
@@ -469,12 +466,7 @@ int main(int argc, char** argv) {
   const double fault_drop =
       session.drop_rate() > 0 ? session.drop_rate() : 0.01;
 
-  const uint32_t nthreads = session.threads() > 1 ? session.threads() : 4;
-  const std::vector<Mode> modes = {
-      {"serial", 1, true},
-      {"noff", 1, false, sim::Scheduling::kLevelTick},
-      {"thr" + std::to_string(nthreads), nthreads, true},
-  };
+  const std::vector<Mode> modes = PurityModes();
 
   std::cout << "=== serving front door: tail latency vs offered load"
             << (smoke ? " (smoke)" : "")
@@ -585,8 +577,8 @@ int main(int argc, char** argv) {
     }
   }
   t.Print(std::cout);
-  std::cout << "\n(all rows asserted bit-identical across serial / threaded "
-               "/ level-tick no-fast-forward engine modes, latency "
+  std::cout << "\n(all rows asserted bit-identical under the default "
+               "scheduler and the level-tick reference loop, latency "
                "histograms included)\n\n";
 
   // Knee shape: interactive p99 under the blind queue-depth policy must be

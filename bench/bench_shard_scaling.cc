@@ -25,9 +25,8 @@
 //
 // Three hard guarantees are asserted:
 //   * every (workload, gather, shard count) reports bit-identical simulated
-//     cycles across serial, threaded, and no-fast-forward level-tick
-//     engine modes (serial and threaded run the default scheduler; noff is
-//     the every-cycle reference loop),
+//     cycles under the default (event) scheduler and the every-cycle
+//     level-tick reference loop,
 //   * ANNS throughput at 4 shards (flat) is >= 3x the 1-shard baseline
 //     (>= 2x in --smoke, whose smaller corpus leaves less to parallelize),
 //   * KVS multiget at 8 shards breaks the fan-in wall: tree or switch gather
@@ -40,7 +39,9 @@
 // --replication=<R> (default 1: every shard gets R-1 warm standbys with
 // health beacons — the E25 replication-overhead axis; row names gain a
 // ".repR" suffix so the default JSON stays diffable), plus the
-// bench_common set.
+// bench_common set. R > 1 runs only under the flat gathers (flat, flat4);
+// any other --gather with R > 1 exits 2 before building anything, naming
+// the legal choices.
 
 #include <algorithm>
 #include <chrono>
@@ -64,14 +65,12 @@
 namespace fpgadp {
 namespace {
 
-/// An engine mode the purity check compares. "serial" and "thrN" run the
-/// process-default scheduler; "noff" is the every-cycle level-tick loop
-/// with fast-forward off, the reference the others must reproduce.
+/// An engine mode the purity check compares. "default" runs the
+/// process-default scheduler; "tick" is the every-cycle level-tick loop,
+/// the reference the default must reproduce.
 struct Mode {
   std::string name;
-  uint32_t threads = 1;
-  bool fast_forward = true;
-  sim::Scheduling scheduling = sim::DefaultScheduling();
+  sim::Scheduling scheduling;
 };
 
 struct RunResult {
@@ -132,13 +131,11 @@ struct AutoPlan {
   std::string rationale;
 };
 
-/// Runs `cluster` to quiescence under `mode`, requiring every submitted
-/// request to finalize un-degraded (the fabric is loss-free here).
+/// Runs `cluster` to quiescence under `scheduling`, requiring every
+/// submitted request to finalize un-degraded (the fabric is loss-free here).
 uint64_t DrainCluster(shard::ShardCluster& cluster, size_t expected,
-                      const Mode& mode, double* wall_sec) {
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
-  cluster.engine().SetScheduling(mode.scheduling);
+                      sim::Scheduling scheduling, double* wall_sec) {
+  cluster.engine().SetScheduling(scheduling);
   const double t0 = Now();
   auto cycles = cluster.Run();
   *wall_sec = Now() - t0;
@@ -193,7 +190,7 @@ RunResult RunAnns(const anns::Dataset& data, const anns::IvfPqIndex& index,
   for (size_t q = 0; q < n; ++q) cluster.Submit(wl.AddQuery(data.QueryVector(q)));
   RunResult r;
   r.requests = n;
-  r.cycles = DrainCluster(cluster, n, mode, &r.wall_sec);
+  r.cycles = DrainCluster(cluster, n, mode.scheduling, &r.wall_sec);
   return r;
 }
 
@@ -222,7 +219,8 @@ RunResult RunKvs(const Sizes& sizes, uint32_t shards, uint32_t replication,
   }
   RunResult r;
   r.requests = sizes.kvs_multigets;
-  r.cycles = DrainCluster(cluster, sizes.kvs_multigets, mode, &r.wall_sec);
+  r.cycles =
+      DrainCluster(cluster, sizes.kvs_multigets, mode.scheduling, &r.wall_sec);
   return r;
 }
 
@@ -262,7 +260,7 @@ AutoPlan PlanAutoAnns(const anns::Dataset& data, const anns::IvfPqIndex& index,
   }
   double wall = 0;
   const uint64_t cycles =
-      DrainCluster(cluster, n, Mode{"serial", 1, true}, &wall);
+      DrainCluster(cluster, n, sim::DefaultScheduling(), &wall);
   return FinishPlan(cluster, wl, 0, shards, cycles);
 }
 
@@ -287,8 +285,46 @@ AutoPlan PlanAutoKvs(const Sizes& sizes, uint32_t shards) {
   }
   double wall = 0;
   const uint64_t cycles =
-      DrainCluster(cluster, n, Mode{"serial", 1, true}, &wall);
+      DrainCluster(cluster, n, sim::DefaultScheduling(), &wall);
   return FinishPlan(cluster, wl, 0, shards, cycles);
+}
+
+/// Checks every (gather, shard count) the run would build against
+/// --replication before anything is built. `auto` is illegal with R > 1:
+/// the planner picks among topologies without regard to replicas. On
+/// failure prints the rule and the gathers that are legal at this R.
+bool GatherFlagLegal(const std::vector<std::string>& gathers,
+                     const std::vector<uint32_t>& shard_counts,
+                     uint32_t replication) {
+  const auto check = [&](const std::string& name) {
+    if (name == "auto") {
+      return replication > 1
+                 ? Status::InvalidArgument(
+                       "auto gather cannot run replicated shards: the "
+                       "planner may pick tree or switch gather")
+                 : Status::OK();
+    }
+    for (uint32_t shards : shard_counts) {
+      const Status st =
+          shard::ValidateGather(MakeGather(name, shards), shards, replication);
+      if (!st.ok()) return st;
+    }
+    return Status::OK();
+  };
+  for (const std::string& name : gathers) {
+    const Status st = check(name);
+    if (st.ok()) continue;
+    std::string legal;
+    for (const std::string& g : kGatherNames) {
+      if (check(g).ok()) legal += (legal.empty() ? "" : "|") + g;
+    }
+    std::cerr << "FAIL: --gather=" << name << " with --replication="
+              << replication << ": " << st.message()
+              << "\n  legal gathers for --replication=" << replication << ": "
+              << legal << "\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -297,7 +333,6 @@ AutoPlan PlanAutoKvs(const Sizes& sizes, uint32_t shards) {
 int main(int argc, char** argv) {
   using namespace fpgadp;
   bench::Session session(argc, argv);
-  session.SetDefaultJsonPath("BENCH_shard_scaling.json");
   bool smoke = false;
   std::string gather_flag = "all";
   uint32_t replication = 1;
@@ -324,6 +359,11 @@ int main(int argc, char** argv) {
               << " (want flat|flat4|tree|switch|scatter|auto|all)\n";
     return 1;
   }
+  const std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
+  if (!GatherFlagLegal(gathers, shard_counts, replication)) return 2;
+  // Installed only once the flags are known good: a rejected invocation
+  // must not overwrite the committed baseline with an empty row set.
+  session.SetDefaultJsonPath("BENCH_shard_scaling.json");
 
   Sizes sizes;
   if (smoke) {
@@ -359,18 +399,15 @@ int main(int argc, char** argv) {
   }
 
   const double clock_hz = net::Fabric::Config{}.clock_hz;
-  const uint32_t nthreads = session.threads() > 1 ? session.threads() : 4;
   const std::vector<Mode> modes = {
-      {"serial", 1, true},
-      {"noff", 1, false, sim::Scheduling::kLevelTick},
-      {"thr" + std::to_string(nthreads), nthreads, true},
+      {"default", sim::DefaultScheduling()},
+      {"tick", sim::Scheduling::kLevelTick},
   };
-  const std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
 
   TablePrinter t({"workload", "gather", "shards", "mode", "sim cycles",
                   "requests", "req/sim-sec", "scaling", "vs flat", "wall ms"});
   bool ok = true;
-  std::map<std::string, double> serial_tput;  // workload.gather -> 1-shard
+  std::map<std::string, double> one_shard_tput;  // workload.gather
   std::map<std::string, double> scaling_at;   // workload.gather.shards
   std::map<std::string, double> flat_tput;    // workload.shards -> flat tput
   std::map<std::string, double> vs_flat_at;   // workload.gather.shards
@@ -415,19 +452,18 @@ int main(int argc, char** argv) {
           const double sim_sec = double(r.cycles) / clock_hz;
           const double tput = double(r.requests) / sim_sec;
           const std::string wg = workload + "." + gather_name;
-          if (mode.name == "serial" && shards == 1) {
-            serial_tput[wg] = tput;
-          }
-          const double scaling = tput / serial_tput[wg];
+          const bool reference_row = &mode == &modes.front();
+          if (reference_row && shards == 1) one_shard_tput[wg] = tput;
+          const double scaling = tput / one_shard_tput[wg];
           const std::string ws = workload + "." + std::to_string(shards);
-          if (mode.name == "serial" && gather_name == "flat") {
+          if (reference_row && gather_name == "flat") {
             flat_tput[ws] = tput;
           }
           // The flat incumbent always runs first (kGatherNames order), so
           // its baseline is in the map by the time any other setup reads it.
           const double vs_flat =
               flat_tput.count(ws) ? tput / flat_tput[ws] : 1.0;
-          if (mode.name == "serial") {
+          if (reference_row) {
             scaling_at[wg + "." + std::to_string(shards)] = scaling;
             vs_flat_at[wg + "." + std::to_string(shards)] = vs_flat;
             tput_at[wg + "." + std::to_string(shards)] = tput;
@@ -455,10 +491,10 @@ int main(int argc, char** argv) {
     }
   }
   t.Print(std::cout);
-  std::cout << "\n(cycle counts asserted identical across serial / threaded "
-               "/ level-tick no-fast-forward modes; scaling is per simulated "
-               "second; vs-flat compares to single-port flat at equal "
-               "shards)\n";
+  std::cout << "\n(cycle counts asserted identical under the default "
+               "scheduler and the level-tick reference loop; scaling is per "
+               "simulated second; vs-flat compares to single-port flat at "
+               "equal shards)\n";
 
   if (std::find(gathers.begin(), gathers.end(), "flat") == gathers.end()) {
     std::cout << "[note] --gather=" << gather_flag

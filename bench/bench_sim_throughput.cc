@@ -4,27 +4,25 @@
 // narrow pipeline (1 lane), wide-lane burst movers (16 and 64 lanes), a
 // 16-lane transform, memory-bound channel traffic, a fabric incast, and two
 // sparse-activation shapes (a timer-dominated RDMA retransmission soak and a
-// mostly-idle 64-kernel mesh) — each in serial, --threads=N,
-// fast-forward-off, and event-driven-scheduler modes. Cycle counts must be
-// identical across all modes (the engine's performance contract); the bench
-// fails hard if they diverge, and in --smoke mode it additionally
+// mostly-idle 64-kernel mesh) — each under the every-cycle level-tick
+// reference loop ("tick") and the event-driven scheduler ("event"). Cycle
+// counts must be identical across both (the engine's correctness contract);
+// the bench fails hard if they diverge, and in --smoke mode it additionally
 //
 //  * re-runs the golden line-rate filter scenario and fails on any drift
 //    from tests/golden/cycles.json;
-//  * asserts the event-driven scheduler is no slower than the serial
-//    level-tick on every scenario (with a noise tolerance) and at least 3x
-//    faster on the sparse ones, where idle modules dominate the tick bill;
-//  * asserts the threaded incast run stays within a small factor of serial
-//    (the regression guard for the old 100x ThreadPool-dispatch collapse on
-//    tiny levels, fixed by inlining levels below the dispatch threshold).
+//  * asserts the event-driven scheduler is no slower than the reference
+//    loop on every scenario (with a noise tolerance on the dense ones) and
+//    clears a per-scenario speedup bar on the sparse ones, where idle
+//    modules dominate the tick bill.
 //
 // Results are dumped to BENCH_sim_throughput.json (override with
 // --json=<file>) so the perf trajectory is diffable across commits; every
-// row carries a speedup_vs_serial field.
+// row carries a speedup_vs_tick field.
 //
 // Flags: --smoke (small sizes + golden guard + perf assertions, for the
-// `perf` ctest tier), plus the bench_common set (--threads=N,
-// --no-fast-forward, --engine=MODE, --json=...).
+// `perf` ctest tier), plus the bench_common set (--engine=MODE is
+// overridden per run here, --json=...).
 
 #include <algorithm>
 #include <chrono>
@@ -56,9 +54,7 @@ namespace {
 
 struct Mode {
   std::string name;
-  uint32_t threads = 1;
-  bool fast_forward = true;
-  sim::Scheduling scheduling = sim::Scheduling::kLevelTick;
+  sim::Scheduling scheduling;
 };
 
 struct RunResult {
@@ -76,8 +72,6 @@ double Now() {
 /// Runs `engine` to quiescence under `mode`, timing the Run() call only
 /// (scenario construction is excluded — we measure the stepping hot path).
 uint64_t TimedRun(sim::Engine& engine, const Mode& mode, double* wall_sec) {
-  engine.SetThreads(mode.threads);
-  engine.SetFastForward(mode.fast_forward);
   engine.SetScheduling(mode.scheduling);
   const double t0 = Now();
   auto cycles = engine.Run(/*max_cycles=*/1ull << 32);
@@ -307,9 +301,9 @@ RunResult RunMesh64(size_t items_per_chain, const Mode& mode) {
     for (uint32_t s = 0; s < kStages; ++s) {
       sim::KernelTiming timing;
       // Latencies staggered per chain and stage so retirement bursts of
-      // different chains almost never coincide: the all-modules-idle global
-      // fast-forward barrier rarely opens, but per-module activation still
-      // sleeps everyone outside the one active chain.
+      // different chains almost never coincide: a whole-system skip (every
+      // stream empty, every hint ahead) rarely applies, but per-module
+      // activation still sleeps everyone outside the one active chain.
       timing.latency = 6000 + 1223 * c + 211 * s;
       kernels.push_back(std::make_unique<sim::TransformKernel<int, int>>(
           chain + ".k" + std::to_string(s), ch[s], ch[s + 1],
@@ -396,127 +390,109 @@ int main(int argc, char** argv) {
     std::string name;
     size_t n;        ///< Full-size run.
     size_t smoke_n;  ///< --smoke run (kept large enough to time reliably).
-    bool sparse;     ///< Mostly-idle shape: event mode must win >= 3x.
+    /// Sparse (mostly-idle) shapes only: the --smoke floor on the event
+    /// scheduler's speedup over the every-cycle reference; 0 = dense.
+    /// The former bar was "event >= 3x the tick loop with its global
+    /// fast-forward"; restated against the reference at equal strength it
+    /// is 3x that fast-forward's own best-of-5 speedup over every-cycle
+    /// ticking, which measured 9.7-10.5x on rdma_retrans and 8.0-9.0x on
+    /// mesh64 at smoke sizes on a 4-vCPU x86 container (EXPERIMENTS.md,
+    /// E26). The bars take the low end.
+    double min_event_speedup;
     RunResult (*run)(size_t, const Mode&);
   };
   const std::vector<Scenario> scenarios = {
-      {"narrow", 500000, 31250, false, RunNarrow},
-      {"wide16", 4000000, 250000, false, RunWideLane},
-      {"wide64", 8000000, 500000, false, RunWideLane64},
-      {"wide16_xform", 1000000, 62500, false, RunWideXform},
-      {"membound", 100000, 6250, false, RunMemBound},
-      {"incast", 5000, 312, false, RunIncast},
-      {"rdma_retrans", 512, 64, true, RunRdmaRetrans},
-      {"mesh64", 512, 256, true, RunMesh64},
+      {"narrow", 500000, 31250, 0, RunNarrow},
+      {"wide16", 4000000, 250000, 0, RunWideLane},
+      {"wide64", 8000000, 500000, 0, RunWideLane64},
+      {"wide16_xform", 1000000, 62500, 0, RunWideXform},
+      {"membound", 100000, 6250, 0, RunMemBound},
+      {"incast", 5000, 312, 0, RunIncast},
+      {"rdma_retrans", 512, 64, 29, RunRdmaRetrans},
+      {"mesh64", 512, 256, 24, RunMesh64},
   };
-  const uint32_t nthreads = session.threads() > 1 ? session.threads() : 4;
   const std::vector<Mode> modes = {
-      {"serial", 1, true},
-      {"noff", 1, false},
-      {"thr" + std::to_string(nthreads), nthreads, true},
-      {"event", 1, true, sim::Scheduling::kEventDriven},
+      {"tick", sim::Scheduling::kLevelTick},
+      {"event", sim::Scheduling::kEventDriven},
   };
-  // Wall-clock ratios between modes are asserted in --smoke and committed
-  // (as speedup_vs_serial rows) from full runs, and this box's noise can
-  // swing a single run tens of percent. The modes those ratios read
-  // (serial and event everywhere, threaded on incast) therefore take the
-  // best of several runs, and the repeats are INTERLEAVED across modes so
-  // slow drift (thermal, competing load) taxes every mode equally instead
-  // of whichever happens to run last. Modes no ratio reads get one run:
-  // repeating the slow noff/threaded sweeps only stretches the bench
-  // without steadying any reported number. Cycle counts are asserted equal
-  // on every repeat.
+  // The tick/event wall-clock ratio is asserted in --smoke and committed
+  // (as speedup_vs_tick rows) from full runs, and this box's noise can
+  // swing a single run tens of percent. Both modes therefore take the best
+  // of several runs, and the repeats are INTERLEAVED across modes so slow
+  // drift (thermal, competing load) taxes both equally instead of
+  // whichever happens to run last. Cycle counts are asserted equal on
+  // every repeat.
   const int kTimedReps = 5;
 
   TablePrinter t({"scenario", "mode", "sim cycles", "items", "wall ms",
-                  "Mcycles/s", "Mitems/s", "vs serial"});
+                  "Mcycles/s", "Mitems/s", "vs tick"});
   bool ok = true;
   for (const Scenario& sc : scenarios) {
     const size_t n = smoke ? sc.smoke_n : sc.n;
-    uint64_t first_cycles = 0;
-    double serial_wall = 0, thr_wall = 0, event_wall = 0;
     std::vector<RunResult> results;
-    for (const Mode& mode : modes) {
-      RunResult r = sc.run(n, mode);
-      if (first_cycles == 0) {
-        first_cycles = r.cycles;
-      } else if (r.cycles != first_cycles) {
-        std::cerr << "FAIL: scenario " << sc.name << " mode " << mode.name
-                  << " changed the cycle count (" << r.cycles << " vs "
-                  << first_cycles << ") — performance modes must be pure\n";
-        ok = false;
-      }
-      results.push_back(r);
-    }
-    for (int rep = 1; rep < kTimedReps; ++rep) {
+    for (int rep = 0; rep < kTimedReps; ++rep) {
       for (size_t mi = 0; mi < modes.size(); ++mi) {
         const Mode& mode = modes[mi];
-        const bool timed = mode.name == "serial" ||
-                           mode.scheduling == sim::Scheduling::kEventDriven ||
-                           (sc.name == "incast" && mode.threads > 1);
-        if (!timed) continue;
-        const RunResult again = sc.run(n, mode);
-        if (again.cycles != results[mi].cycles) {
+        const RunResult r = sc.run(n, mode);
+        if (rep == 0) {
+          results.push_back(r);
+          if (r.cycles != results[0].cycles) {
+            std::cerr << "FAIL: scenario " << sc.name << " mode " << mode.name
+                      << " changed the cycle count (" << r.cycles << " vs "
+                      << results[0].cycles << ") — schedulers must agree\n";
+            ok = false;
+          }
+          continue;
+        }
+        if (r.cycles != results[mi].cycles) {
           std::cerr << "FAIL: scenario " << sc.name << " mode " << mode.name
                     << " is nondeterministic across repeat runs\n";
           ok = false;
         }
-        results[mi].wall_sec = std::min(results[mi].wall_sec, again.wall_sec);
+        results[mi].wall_sec = std::min(results[mi].wall_sec, r.wall_sec);
       }
     }
+    const double tick_wall = results[0].wall_sec;
+    const double event_wall = results[1].wall_sec;
     for (size_t mi = 0; mi < modes.size(); ++mi) {
-      const Mode& mode = modes[mi];
       const RunResult& r = results[mi];
-      if (mode.name == "serial") serial_wall = r.wall_sec;
-      if (mode.threads > 1) thr_wall = r.wall_sec;
-      if (mode.scheduling == sim::Scheduling::kEventDriven) {
-        event_wall = r.wall_sec;
-      }
       const double mcps = double(r.cycles) / r.wall_sec / 1e6;
       const double mips = double(r.items) / r.wall_sec / 1e6;
-      const double speedup = serial_wall / r.wall_sec;
-      t.AddRow({sc.name, mode.name, TablePrinter::FmtCount(r.cycles),
+      const double speedup = tick_wall / r.wall_sec;
+      t.AddRow({sc.name, modes[mi].name, TablePrinter::FmtCount(r.cycles),
                 TablePrinter::FmtCount(r.items),
                 TablePrinter::Fmt(r.wall_sec * 1e3, 2),
                 TablePrinter::Fmt(mcps, 2), TablePrinter::Fmt(mips, 2),
                 TablePrinter::Fmt(speedup, 2) + "x"});
-      session.AddResult(sc.name + "." + mode.name,
+      session.AddResult(sc.name + "." + modes[mi].name,
                         {{"cycles", double(r.cycles)},
                          {"items", double(r.items)},
                          {"wall_sec", r.wall_sec},
                          {"sim_cycles_per_sec", double(r.cycles) / r.wall_sec},
                          {"items_per_sec", double(r.items) / r.wall_sec},
-                         {"speedup_vs_serial", speedup}});
+                         {"speedup_vs_tick", speedup}});
     }
     if (smoke) {
-      // Event-driven scheduling must never lose to the level tick; on the
-      // dense shapes (every module armed every cycle) "never lose" means
-      // within noise, hence the tolerance factor.
-      const double tolerance = sc.sparse ? 1.0 : 1.25;
-      if (event_wall > serial_wall * tolerance) {
+      // Event-driven scheduling must never lose to the reference loop; on
+      // the dense shapes (every module armed every cycle) "never lose"
+      // means within noise, hence the tolerance factor.
+      if (event_wall > tick_wall * 1.25) {
         std::cerr << "FAIL: scenario " << sc.name << " event mode is slower "
-                  << "than serial level-tick (" << event_wall * 1e3 << " ms vs "
-                  << serial_wall * 1e3 << " ms)\n";
+                  << "than the level-tick reference (" << event_wall * 1e3
+                  << " ms vs " << tick_wall * 1e3 << " ms)\n";
         ok = false;
       }
-      if (sc.sparse && serial_wall < 3.0 * event_wall) {
+      if (tick_wall < sc.min_event_speedup * event_wall) {
         std::cerr << "FAIL: sparse scenario " << sc.name << " event speedup "
-                  << serial_wall / event_wall << "x is below the 3x bar\n";
-        ok = false;
-      }
-      // Regression guard for the ThreadPool-dispatch collapse on tiny
-      // levels (incast.thr4 once ran ~100x slower than serial): threaded
-      // runs of a 5-module topology must stay within a small factor.
-      if (sc.name == "incast" && thr_wall > 3.0 * serial_wall) {
-        std::cerr << "FAIL: incast threaded run is " << thr_wall / serial_wall
-                  << "x slower than serial — tiny-level dispatch collapse\n";
+                  << tick_wall / event_wall << "x is below the "
+                  << sc.min_event_speedup << "x bar\n";
         ok = false;
       }
     }
   }
   t.Print(std::cout);
-  std::cout << "\n(cycle counts asserted identical across serial / threaded "
-               "/ no-fast-forward / event-driven modes)\n";
+  std::cout << "\n(cycle counts asserted identical across the level-tick "
+               "reference and the event-driven scheduler)\n";
 
   if (smoke && !CheckGoldenFilter()) ok = false;
   return ok ? 0 : 1;

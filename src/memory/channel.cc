@@ -20,7 +20,6 @@ MemoryChannel::MemoryChannel(std::string name, sim::Stream<MemRequest>* req,
   bytes_per_cycle_ = config_.bytes_per_sec / config_.clock_hz;
   req_->BindConsumer(this);
   resp_->BindProducer(this);
-  SetParallelSafe();
   SetEventSafe();
 }
 

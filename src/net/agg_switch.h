@@ -28,9 +28,8 @@ namespace fpgadp::net {
 /// KillPort) belongs to whoever owns the gather — the ShardCoordinator arms
 /// a group per (request, port) at scatter and disarms it at finalize, so a
 /// degraded gather can never strand held responses. Mutating it from a
-/// coordinator Tick is safe because any engine containing a coordinator
-/// ticks serially (the coordinator is not parallel-certified; see
-/// sim::Engine).
+/// coordinator Tick is safe because every engine ticks its modules one at
+/// a time, in registration order (see sim::Engine).
 ///
 /// Wire protocol: the switch combines kOffloadResp packets in merged form —
 /// `user` = request id, `addr` = done-shard mask, `user2` = rejected-shard

@@ -124,7 +124,6 @@ Fabric::Fabric(std::string name, uint32_t num_nodes, const Config& config)
     egress_.back()->BindConsumer(this);
     ingress_.back()->BindProducer(this);
   }
-  SetParallelSafe();
   SetEventSafe();
 }
 

@@ -16,10 +16,9 @@ TcpStack::TcpStack(std::string name, uint32_t node_id, Fabric* fabric,
   FPGADP_CHECK(config_.mss_bytes > 0 && config_.window_bytes > 0);
   FPGADP_CHECK(reliability_.backoff >= 1.0);
   // The Tick touches exactly this node's port pair; declaring the
-  // endpoints certifies the module for parallel ticking.
+  // endpoints gives the event scheduler its stream wake edges.
   fabric_->egress(node_id_).BindProducer(this);
   fabric_->ingress(node_id_).BindConsumer(this);
-  SetParallelSafe();
 }
 
 sim::Cycle TcpStack::NextEventCycle(sim::Cycle now) const {

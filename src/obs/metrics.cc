@@ -10,10 +10,10 @@ namespace fpgadp::obs {
 namespace internal {
 
 namespace {
-// Depth counter, not a flag, so manual Step() loops that nest scopes and
-// multi-level parallel engines stay correct. Relaxed is enough: guards are
-// entered/left by an engine's coordinator thread, and the DCHECK only needs
-// to observe a value that thread published before dispatching Ticks.
+// Depth counter, not a flag, so manual Step() loops that nest scopes stay
+// correct. Relaxed is enough: guards are entered/left by the thread that
+// drives an engine, and the DCHECK only needs to observe a value that
+// thread published before dispatching Ticks.
 std::atomic<int> g_tick_phase_depth{0};
 }  // namespace
 

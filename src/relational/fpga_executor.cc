@@ -23,7 +23,6 @@ OpKernel::OpKernel(std::string name, sim::Stream<Beat>* in,
   FPGADP_CHECK(lanes_ > 0);
   in_->BindConsumer(this);
   out_->BindProducer(this);
-  SetParallelSafe();
   SetEventSafe();
 }
 

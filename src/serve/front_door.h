@@ -52,9 +52,8 @@ struct ClassStats {
 /// Workload::Scatter plan are precomputed before the engine starts. Tick()
 /// only moves cursors over that precomputed state and calls the tick-safe
 /// ShardCoordinator::TrySubmit, so a run's every latency sample is
-/// bit-identical across the serial, fast-forward, and threaded engine
-/// modes (the module is not parallel-certified, so threaded mode serializes
-/// it — same guarantee the shard modules give).
+/// bit-identical under the event scheduler and the level-tick reference
+/// loop — same guarantee the shard modules give.
 ///
 /// Closed-loop traffic is response-driven, so only the initial window is
 /// scheduled up front; each completion (or ingress shed) schedules the next

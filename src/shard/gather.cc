@@ -1,6 +1,7 @@
 #include "src/shard/gather.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/common/check.h"
 
@@ -22,29 +23,55 @@ bool ParseGatherTopology(const std::string& text, GatherTopology* out) {
   return false;
 }
 
+Status ValidateGather(const GatherConfig& config, uint32_t num_shards,
+                      uint32_t replicas) {
+  if (num_shards == 0) {
+    return Status::InvalidArgument("gather needs at least one shard");
+  }
+  if (config.coordinator_ports == 0) {
+    return Status::InvalidArgument(
+        "gather needs at least one coordinator port");
+  }
+  if (replicas == 0) {
+    return Status::InvalidArgument("replication factor must be >= 1");
+  }
+  if (replicas > 1) {
+    // Tree and switch gather address peers by shard id; replica routing is
+    // only defined for the flat response path.
+    if (config.topology != GatherTopology::kFlat) {
+      return Status::InvalidArgument(
+          std::string(GatherTopologyName(config.topology)) +
+          " gather cannot run replicated shards (R=" +
+          std::to_string(replicas) + "): replication needs flat gather");
+    }
+    // Scatter bundles address subtree members by shard id too, and the
+    // replay-after-failover protocol re-posts individual slices.
+    if (config.scatter != ScatterMode::kUnicast) {
+      return Status::InvalidArgument(
+          "tree scatter cannot run replicated shards (R=" +
+          std::to_string(replicas) + "): replication needs unicast scatter");
+    }
+  }
+  if (config.topology != GatherTopology::kFlat && num_shards > 64) {
+    // Merged responses carry per-shard coverage as 64-bit masks on the wire
+    // (Packet::addr / Packet::user2).
+    return Status::InvalidArgument(
+        std::string(GatherTopologyName(config.topology)) +
+        " gather supports at most 64 shards, got " +
+        std::to_string(num_shards));
+  }
+  if ((config.topology == GatherTopology::kTree ||
+       config.scatter == ScatterMode::kTree) &&
+      config.fanout == 0) {
+    return Status::InvalidArgument("tree gather/scatter needs fanout >= 1");
+  }
+  return Status::OK();
+}
+
 GatherPlan::GatherPlan(const GatherConfig& config, uint32_t num_shards,
                        uint32_t replicas)
     : config_(config), num_shards_(num_shards), replicas_(replicas) {
-  FPGADP_CHECK(num_shards_ > 0);
-  FPGADP_CHECK(config_.coordinator_ports > 0);
-  FPGADP_CHECK(replicas_ > 0);
-  if (replicas_ > 1) {
-    // Tree and switch gather address peers by shard id; replica routing is
-    // only defined for the flat response path.
-    FPGADP_CHECK(config_.topology == GatherTopology::kFlat);
-    // Scatter bundles address subtree members by shard id too, and the
-    // replay-after-failover protocol re-posts individual slices.
-    FPGADP_CHECK(config_.scatter == ScatterMode::kUnicast);
-  }
-  if (config_.topology != GatherTopology::kFlat) {
-    // Merged responses carry per-shard coverage as 64-bit masks on the wire
-    // (Packet::addr / Packet::user2).
-    FPGADP_CHECK(num_shards_ <= 64);
-  }
-  if (config_.topology == GatherTopology::kTree ||
-      config_.scatter == ScatterMode::kTree) {
-    FPGADP_CHECK(config_.fanout > 0);
-  }
+  FPGADP_CHECK_OK(ValidateGather(config_, num_shards_, replicas_));
 }
 
 void GatherPlan::Arm(uint64_t request_id,

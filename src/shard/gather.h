@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
+
 namespace fpgadp::shard {
 
 /// How shard responses travel back to the coordinator.
@@ -85,6 +87,21 @@ struct GatherConfig {
   bool pipelined_merge = false;
 };
 
+/// The legality rules for running `config` over `num_shards` shards with
+/// per-shard replication factor `replicas`: OK, or InvalidArgument naming
+/// the rule the combination breaks. GatherPlan's constructor CHECKs this;
+/// code that takes a configuration from a user (bench flags) calls it
+/// first and reports the Status instead of aborting.
+///
+///  * num_shards, coordinator_ports and replicas are all >= 1;
+///  * replicas > 1 needs flat gather with unicast scatter (tree and switch
+///    gather and scatter bundles address peers by shard id, not replica);
+///  * tree and switch gather carry per-shard coverage as 64-bit masks on
+///    the wire, so they cap num_shards at 64;
+///  * tree gather or tree scatter needs fanout >= 1.
+Status ValidateGather(const GatherConfig& config, uint32_t num_shards,
+                      uint32_t replicas);
+
 /// The routing half of hierarchical gather: which fabric node each shard's
 /// response goes to, and how many child contributions an interior shard
 /// must fold in before forwarding. Shared by the coordinator (which arms a
@@ -98,9 +115,9 @@ struct GatherConfig {
 /// order — child i's parent is member (i-1)/fanout — whose root forwards
 /// the group's merged response to the group's port.
 ///
-/// Thread-safety: none needed. ShardCoordinator is not parallel-safe, so
-/// any engine containing one ticks serially (see sim::Engine); the plan is
-/// only touched from coordinator and server Tick()s.
+/// Thread-safety: none needed. Every engine ticks its modules one at a time
+/// (see sim::Engine), and the plan is only touched from coordinator and
+/// server Tick()s.
 class GatherPlan {
  public:
   /// Sentinel parent: forward to the coordinator port, not a shard.
@@ -133,8 +150,9 @@ class GatherPlan {
   };
 
   /// `replicas` is the per-shard replication factor R: every shard gets R
-  /// fabric nodes, one per replica. R > 1 requires flat topology (tree and
-  /// switch gather route by shard id, not by replica).
+  /// fabric nodes, one per replica. The combination must pass
+  /// ValidateGather (R > 1, for one, requires flat gather with unicast
+  /// scatter); an illegal one is a programming error here.
   GatherPlan(const GatherConfig& config, uint32_t num_shards,
              uint32_t replicas = 1);
 

@@ -39,8 +39,8 @@ struct ReplicaConfig {
 
 /// Per-shard replica bookkeeping: which replica is primary, which are
 /// still alive, and when each was last heard from. Owned by ElasticState;
-/// mutated only from coordinator/server Tick()s, which the engine runs
-/// serially (ShardCoordinator is not parallel-certified).
+/// mutated only from coordinator/server Tick()s, which the engine runs one
+/// at a time.
 class ReplicaSet {
  public:
   ReplicaSet(uint32_t num_shards, uint32_t replication_factor);

@@ -10,14 +10,10 @@
 
 #include "src/common/check.h"
 #include "src/common/units.h"
-#include "src/sim/thread_pool.h"
 
 namespace fpgadp::sim {
 
 namespace {
-uint32_t g_default_threads = 1;
-bool g_default_fast_forward = true;
-
 /// The scheduling default starts from the FPGADP_ENGINE environment variable
 /// so whole test tiers can sweep the scheduler (tools/check.sh re-runs the
 /// golden and chaos tiers under FPGADP_ENGINE=tick) without a rebuild.
@@ -26,15 +22,8 @@ Scheduling InitialScheduling() {
 }
 Scheduling g_default_scheduling = InitialScheduling();
 
-/// Dependency levels (and event-mode armed sets) at or below this size tick
-/// inline on the coordinating thread: a ThreadPool dispatch plus its barrier
-/// costs far more than a handful of Tick() calls, which is exactly the
-/// incast.thr4 collapse E21 measured (~211k cycles/s vs 23M serial on a
-/// topology whose levels are almost all singletons).
-constexpr size_t kInlineTickThreshold = 4;
-
 /// Consecutive full-run-list event cycles before the event loop drops into
-/// its saturated (legacy-body) inner loop; see RunEventDriven.
+/// its saturated (level-tick body) inner loop; see RunEventDriven.
 constexpr uint32_t kDenseStreakCycles = 8;
 
 /// Busy-probe window inside the saturated loop: every this-many cycles the
@@ -52,12 +41,6 @@ bool HeapLater(const std::pair<Cycle, size_t>& a,
 constexpr size_t kNone = ~size_t{0};
 }  // namespace
 
-void SetDefaultEngineThreads(uint32_t n) {
-  g_default_threads = n == 0 ? 1 : n;
-}
-uint32_t DefaultEngineThreads() { return g_default_threads; }
-void SetDefaultFastForward(bool on) { g_default_fast_forward = on; }
-bool DefaultFastForward() { return g_default_fast_forward; }
 Scheduling SchedulingFromEnv(const char* value) {
   if (value == nullptr || std::strcmp(value, "event") == 0) {
     return Scheduling::kEventDriven;
@@ -80,10 +63,7 @@ void Module::WakeUp() {
 }
 
 Engine::Engine(double clock_hz)
-    : clock_hz_(clock_hz),
-      fast_forward_(g_default_fast_forward),
-      threads_(g_default_threads),
-      scheduling_(g_default_scheduling) {}
+    : clock_hz_(clock_hz), scheduling_(g_default_scheduling) {}
 
 Engine::~Engine() {
   // Safety net for manually stepped harnesses that forget the final flush;
@@ -113,42 +93,18 @@ void Engine::AddStream(StreamBase* stream) {
   schedule_dirty_ = true;
 }
 
-void Engine::SetThreads(uint32_t n) {
-  threads_ = n == 0 ? 1 : n;
-  pool_.reset();
-  schedule_dirty_ = true;
-}
-
 void Engine::RebuildSchedule() {
   // The module/stream set changed: settle any lazily-deferred event-mode
   // attribution against the OLD set before the indices shift under it.
   InvalidateEventState();
   schedule_dirty_ = false;
-  levels_.clear();
-  module_level_.assign(modules_.size(), 0);
-  parallel_tick_ = false;
-  if (threads_ <= 1) {
-    pool_.reset();
-  } else {
-    if (!pool_ || pool_->num_threads() != threads_) {
-      pool_ = std::make_unique<ThreadPool>(threads_);
-    }
-    parallel_tick_ = TryBuildLevels();
-  }
-  // Wire the commit-skip plumbing for the chosen mode: serial commits drain
-  // the dirty-stream list writers push onto; parallel commits must not (a
-  // push from a worker thread would race), so streams are detached and the
-  // commit shard checks the per-stream staged flag instead. Streams already
-  // dirty (e.g. preloaded by a harness before the first Step) are re-seeded
-  // from their flags.
+  // Wire every stream to the dirty-stream list its writers push onto.
+  // Streams already dirty (e.g. preloaded by a harness before the first
+  // Step) are re-seeded from their flags.
   commit_queue_->clear();
   for (StreamBase* s : streams_) {
-    if (parallel_tick_) {
-      s->commit_queue_.reset();
-    } else {
-      s->commit_queue_ = commit_queue_;
-      if (s->has_staged()) commit_queue_->push_back(s);
-    }
+    s->commit_queue_ = commit_queue_;
+    if (s->has_staged()) commit_queue_->push_back(s);
   }
   // Cache each stream's endpoint registration indices so event-mode commit
   // and drain edges arm the neighbour with one array write instead of a
@@ -166,52 +122,6 @@ void Engine::RebuildSchedule() {
     if (ip != index.end()) s->producer_index_ = ip->second;
     if (ic != index.end()) s->consumer_index_ = ic->second;
   }
-}
-
-bool Engine::TryBuildLevels() {
-  // Certification gate: every module must have declared its stream
-  // endpoints and promised a self-contained Tick; any stream with an
-  // ambiguous writer/reader set vetoes the whole engine.
-  for (const Module* m : modules_) {
-    if (!m->parallel_safe()) return false;
-  }
-  for (const StreamBase* s : streams_) {
-    if (s->bind_conflict()) return false;
-  }
-  // Build the dependency levels. Each stream connecting two registered
-  // modules is an edge from the lower registration index to the higher —
-  // the direction serial ticking makes same-cycle mutations visible in —
-  // and the level of a module is the longest such path reaching it. Edges
-  // always point from a lower to a higher index, so one pass over edges
-  // sorted by target computes longest paths exactly.
-  std::unordered_map<const Module*, size_t> index;
-  index.reserve(modules_.size());
-  for (size_t i = 0; i < modules_.size(); ++i) index[modules_[i]] = i;
-  std::vector<std::pair<size_t, size_t>> edges;
-  for (const StreamBase* s : streams_) {
-    const auto ip = index.find(s->producer());
-    const auto ic = index.find(s->consumer());
-    if (ip == index.end() || ic == index.end()) continue;
-    size_t a = ip->second, b = ic->second;
-    if (a == b) continue;
-    if (a > b) std::swap(a, b);
-    edges.emplace_back(b, a);  // (target, source), for sort-by-target
-  }
-  std::sort(edges.begin(), edges.end());
-  std::vector<uint32_t> level(modules_.size(), 0);
-  uint32_t max_level = 0;
-  for (const auto& [b, a] : edges) {
-    level[b] = std::max(level[b], level[a] + 1);
-    max_level = std::max(max_level, level[b]);
-  }
-  levels_.resize(max_level + 1);
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    levels_[level[i]].push_back(modules_[i]);
-  }
-  // Keep the per-module level index so the event dispatcher can bucket an
-  // armed subset by level in O(armed).
-  module_level_ = std::move(level);
-  return true;
 }
 
 void Engine::EnableTracing(obs::TraceWriter* writer, TraceOptions options) {
@@ -291,9 +201,9 @@ void Engine::EnsureProbeSlots() {
 void Engine::Step() {
   if (!observability_checked_) SetupObservability();
   if (schedule_dirty_) RebuildSchedule();
-  // Manual stepping always runs the legacy every-module path; settle any
+  // Manual stepping always runs the level-tick body; settle any
   // event-mode attribution first so AccountSkip never double-counts a cycle
-  // the legacy loop is about to FinalizeTick.
+  // the reference loop is about to FinalizeTick.
   InvalidateEventState();
   TickAndCommit();
   if (trace_ || metrics_) ProbeStep();
@@ -308,51 +218,15 @@ void Engine::TickAndCommit() {
   // modules cache instrument handles at construction instead. Probes run
   // after the guard is gone — they are allowed (and sampled) lookups.
   [[maybe_unused]] const obs::internal::TickPhaseGuard tick_guard;
-  if (parallel_tick_) {
-    // Tick phase, one barrier per dependency level. Modules within a level
-    // share no stream, so their Ticks are independent; the barrier between
-    // levels reproduces serial registration-order visibility exactly.
-    for (const auto& lvl : levels_) {
-      if (lvl.size() <= kInlineTickThreshold) {
-        for (Module* m : lvl) {
-          m->Tick(now_);
-          m->FinalizeTick();
-        }
-      } else {
-        pool_->ParallelFor(lvl.size(), [&](size_t i) {
-          lvl[i]->Tick(now_);
-          lvl[i]->FinalizeTick();
-        });
-      }
-    }
-    // Commit phase: per-stream state only, embarrassingly parallel. The
-    // serial dirty list is detached in this mode (worker pushes would
-    // race), so the coordinating thread scans the staged flags — and only
-    // dispatches the pool when enough streams actually staged a write. A
-    // commit is a handful of pointer updates; paying a pool barrier per
-    // cycle for one or two staged streams is the same tiny-level collapse
-    // the inline tick threshold above exists to avoid.
-    staged_streams_.clear();
-    for (StreamBase* s : streams_) {
-      if (s->has_staged()) staged_streams_.push_back(s);
-    }
-    if (staged_streams_.size() > 2 * kInlineTickThreshold) {
-      pool_->ParallelFor(staged_streams_.size(),
-                         [&](size_t i) { staged_streams_[i]->Commit(); });
-    } else {
-      for (StreamBase* s : staged_streams_) s->Commit();
-    }
-  } else {
-    for (Module* m : modules_) {
-      m->Tick(now_);
-      m->FinalizeTick();
-    }
-    // Commit only the streams that staged a write this cycle — they queued
-    // themselves via StreamBase::NoteStaged. Idle streams cost nothing.
-    if (!commit_queue_->empty()) {
-      for (StreamBase* s : *commit_queue_) s->Commit();
-      commit_queue_->clear();
-    }
+  for (Module* m : modules_) {
+    m->Tick(now_);
+    m->FinalizeTick();
+  }
+  // Commit only the streams that staged a write this cycle — they queued
+  // themselves via StreamBase::NoteStaged. Idle streams cost nothing.
+  if (!commit_queue_->empty()) {
+    for (StreamBase* s : *commit_queue_) s->Commit();
+    commit_queue_->clear();
   }
 }
 
@@ -441,80 +315,37 @@ void Engine::ExportMetrics() {
 }
 
 bool Engine::QuiescedNow() const {
-  for (const Module* m : modules_) {
-    if (!m->Idle()) return false;
-  }
+  // Streams first: InFlight() is a non-virtual load, Idle() a virtual call,
+  // and a busy system usually answers at the first occupied stream.
   for (const StreamBase* s : streams_) {
     if (s->InFlight()) return false;
   }
-  return true;
-}
-
-Cycle Engine::GlobalNextEventCycle() const {
-  Cycle earliest = kNoEventCycle;
   for (const Module* m : modules_) {
-    const Cycle hint = m->NextEventCycle(now_);
-    FPGADP_DCHECK(hint == kNoEventCycle || hint == kAlwaysActive ||
-                  hint >= now_);
-    // An always-active module must be ticked every cycle: no skip at all.
-    if (hint == kAlwaysActive) return now_;
-    if (hint < earliest) earliest = hint;
-    if (earliest <= now_ + 1) break;  // no skip possible; stop scanning
+    if (!m->Idle()) return false;
   }
-  return earliest;
+  return true;
 }
 
 Result<Cycle> Engine::Run(uint64_t max_cycles) {
   if (!observability_checked_) SetupObservability();
   if (schedule_dirty_) RebuildSchedule();
-  // Observers force the legacy path: per-cycle span tracking and periodic
-  // sampling need every cycle visited, exactly like the fast-forward gate
-  // below. Everything else routes through the event scheduler when selected.
+  // Observers force the level-tick loop: per-cycle span tracking and
+  // periodic sampling need every cycle visited, and observers must never
+  // perturb what they measure. Everything else routes through the event
+  // scheduler when selected.
   if (scheduling_ == Scheduling::kEventDriven && !trace_ && !metrics_) {
     return RunEventDriven(max_cycles);
   }
   InvalidateEventState();
   const Cycle limit = now_ + max_cycles;
-  // Fast-forward only when observers are off: per-cycle span tracking and
-  // periodic sampling need every cycle, and observers must never perturb
-  // what they measure — so the skip is what yields, not the probes.
-  const bool can_skip = fast_forward_ && !trace_ && !metrics_;
-  // Setup and schedule state cannot change while Run is stepping (module
-  // registration and SetThreads happen between runs, never inside a Tick),
-  // so the loop below inlines Step() minus its per-cycle re-checks.
+  // The reference loop: every module ticks every cycle, nothing is skipped.
+  // Module registration happens between runs, never inside a Tick, so the
+  // loop inlines Step() minus its per-cycle re-checks.
   const bool observing = trace_ != nullptr || metrics_ != nullptr;
   while (now_ < limit) {
-    bool streams_empty = true;
-    for (const StreamBase* s : streams_) {
-      if (s->InFlight()) {
-        streams_empty = false;
-        break;
-      }
-    }
-    if (streams_empty) {
-      bool all_idle = true;
-      for (const Module* m : modules_) {
-        if (!m->Idle()) {
-          all_idle = false;
-          break;
-        }
-      }
-      if (all_idle) {
-        FlushObservers();
-        return now_;
-      }
-      if (can_skip) {
-        // Nothing moves on the wires and no module can act before the
-        // earliest event hint: jump there (clamped to the cycle budget;
-        // kNoEventCycle everywhere means a genuine deadlock, which runs
-        // the budget out exactly as per-cycle ticking would).
-        const Cycle target = std::min(GlobalNextEventCycle(), limit);
-        if (target > now_ + 1) {
-          for (Module* m : modules_) m->AccountSkip(now_, target);
-          now_ = target;
-          continue;
-        }
-      }
+    if (QuiescedNow()) {
+      FlushObservers();
+      return now_;
     }
     TickAndCommit();
     if (observing) ProbeStep();
@@ -529,7 +360,7 @@ Result<Cycle> Engine::Run(uint64_t max_cycles) {
 
 // --- Event-driven core ------------------------------------------------------
 //
-// Correctness frame: the legacy loop ticks EVERY module EVERY visited cycle,
+// Correctness frame: the reference loop ticks EVERY module EVERY visited cycle,
 // so extra ticks are always safe — the only dangerous direction is skipping
 // one. A module's tick may be skipped at cycle c only when it is certified
 // (SetEventSafe: an unarmed tick is a no-op except for stall attribution,
@@ -551,7 +382,7 @@ void Engine::RebuildEventState() {
   qc_stream_ = kNone;
   // A bind-conflicted stream has an ambiguous writer set, so its commit edge
   // cannot be attributed to one endpoint pair; rather than risk a missed
-  // wake, demote every module to always-active (exact legacy behavior, just
+  // wake, demote every module to always-active (exact reference behavior, just
   // driven from the event loop).
   bool edges_ok = true;
   for (const StreamBase* s : streams_) {
@@ -571,16 +402,10 @@ void Engine::RebuildEventState() {
       bound_inputs_[s->consumer_index_].push_back(s);
     }
   }
-  // Drain-edge plumbing is serial-only: a push from a worker thread would
-  // race. Parallel event mode relies on the certified-module contract that a
-  // blocked producer keeps its hint <= now (it re-arms itself every cycle).
+  // Drain-edge plumbing: reads that free a full stream report here.
   for (StreamBase* s : streams_) {
     s->drained_pending_ = false;
-    if (parallel_tick_) {
-      s->drain_queue_.reset();
-    } else {
-      s->drain_queue_ = drain_queue_;
-    }
+    s->drain_queue_ = drain_queue_;
   }
   drain_queue_->clear();
   event_state_valid_ = true;
@@ -610,7 +435,7 @@ bool Engine::EventQuiesced() {
   // (or module) stays occupied for long stretches, making the full scan a
   // once-per-phase cost instead of a per-cycle one. The stream check leads
   // because InFlight() is a non-virtual load — the common per-cycle cost is
-  // then identical to the legacy loop's first stream probe — while Idle()
+  // then identical to the reference loop's first stream probe — while Idle()
   // is a virtual call.
   if (qc_stream_ != kNone) {
     if (streams_[qc_stream_]->InFlight()) return false;
@@ -692,7 +517,7 @@ void Engine::ArmNext(size_t i) {
 }
 
 void Engine::WakeModule(size_t t) {
-  // Wakes are meaningful only while event bookkeeping is live; the legacy
+  // Wakes are meaningful only while event bookkeeping is live; the reference
   // loop ticks everyone anyway.
   if (!event_state_valid_) return;
   // Same reasoning inside a saturated phase: every module ticks every
@@ -711,8 +536,8 @@ void Engine::WakeModule(size_t t) {
       return;
     }
     if (t < current_ticking_index_) {
-      // The legacy loop ticked t BEFORE the in-flight module mutated it, so
-      // t's cycle c stays an unarmed no-op (settled via AttributeSkip using
+      // The reference loop ticked t BEFORE the in-flight module mutated it,
+      // so t's cycle c stays an unarmed no-op (settled via AttributeSkip using
       // the pre-mutation state — wakers must call WakeUp() before the
       // mutation, see Module::WakeUp) and t runs at c+1.
       SettleTo(t, c + 1);
@@ -720,8 +545,8 @@ void Engine::WakeModule(size_t t) {
       return;
     }
     // t ticks AFTER the in-flight module in registration order, so the
-    // legacy loop makes the mutation visible to it this very cycle: arm it
-    // for c. If a next-cycle arm is already queued in run_next_, supersede
+    // reference loop makes the mutation visible to it this very cycle: arm
+    // it for c. If a next-cycle arm is already queued in run_next_, supersede
     // it (leaving it would duplicate t once the c-tick re-arms); a c+1 arm
     // living in the calendar heap instead (a timer hint from an earlier
     // cycle) goes stale on its own when next_run_ is overwritten below.
@@ -790,97 +615,47 @@ void Engine::SeedAllArmed() {
 void Engine::DispatchCycle(Cycle c) {
   [[maybe_unused]] const obs::internal::TickPhaseGuard tick_guard;
   event_dispatching_ = true;
-  if (parallel_tick_ && run_now_.size() > kInlineTickThreshold) {
-    // Level-parallel dispatch of the armed set. Re-arms run serially after
-    // each level barrier (the heap and run_next_ are not thread-safe);
-    // parallel-certified modules never call WakeUp, so workers only touch
-    // their own module plus accounted_[i].
-    if (level_buckets_.size() < levels_.size()) {
-      level_buckets_.resize(levels_.size());
-    }
-    for (auto& bucket : level_buckets_) bucket.clear();
-    for (size_t i : run_now_) level_buckets_[module_level_[i]].push_back(i);
-    for (auto& bucket : level_buckets_) {
-      if (bucket.empty()) continue;
-      if (bucket.size() <= kInlineTickThreshold) {
-        for (size_t i : bucket) {
-          if (accounted_[i] != c) SettleTo(i, c);
-          modules_[i]->Tick(c);
-          modules_[i]->FinalizeTick();
-          accounted_[i] = c + 1;
-        }
-      } else {
-        pool_->ParallelFor(bucket.size(), [&](size_t k) {
-          const size_t i = bucket[k];
-          if (accounted_[i] != c) SettleTo(i, c);
-          modules_[i]->Tick(c);
-          modules_[i]->FinalizeTick();
-          accounted_[i] = c + 1;
-        });
-      }
-      for (size_t i : bucket) {
-        if (modules_[i]->event_safe()) {
-          next_run_[i] = kNoEventCycle;
-          ReArmModule(i, c);
-        }
-      }
-    }
-  } else {
-    // Serial dispatch in registration order. run_now_ may GROW mid-loop
-    // (WakeModule inserts later-index targets past the cursor), so the size
-    // is re-read every iteration.
-    for (size_t cursor = 0; cursor < run_now_.size(); ++cursor) {
-      const size_t i = run_now_[cursor];
-      current_ticking_index_ = i;
-      if (accounted_[i] != c) SettleTo(i, c);
-      const bool certified = modules_[i]->event_safe();
-      // Clear the arm BEFORE ticking so a self-WakeUp during the tick is
-      // seen as a fresh request, and so a hintless sleeper never leaves a
-      // stale next_run_ that would swallow a later wake.
-      if (certified) next_run_[i] = kNoEventCycle;
-      modules_[i]->Tick(c);
-      modules_[i]->FinalizeTick();
-      accounted_[i] = c + 1;
-      if (certified) ReArmModule(i, c);
-    }
+  // Dispatch in registration order. run_now_ may GROW mid-loop (WakeModule
+  // inserts later-index targets past the cursor), so the size is re-read
+  // every iteration.
+  for (size_t cursor = 0; cursor < run_now_.size(); ++cursor) {
+    const size_t i = run_now_[cursor];
+    current_ticking_index_ = i;
+    if (accounted_[i] != c) SettleTo(i, c);
+    const bool certified = modules_[i]->event_safe();
+    // Clear the arm BEFORE ticking so a self-WakeUp during the tick is seen
+    // as a fresh request, and so a hintless sleeper never leaves a stale
+    // next_run_ that would swallow a later wake.
+    if (certified) next_run_[i] = kNoEventCycle;
+    modules_[i]->Tick(c);
+    modules_[i]->FinalizeTick();
+    accounted_[i] = c + 1;
+    if (certified) ReArmModule(i, c);
   }
   event_dispatching_ = false;
   // Commit phase. Committed data becomes readable at c+1, so every commit
   // arms the consumer — the stream edge that lets pure flow-through modules
   // sleep with a kNoEventCycle hint.
-  if (parallel_tick_) {
-    // The serial dirty list is detached in parallel mode (worker pushes
-    // would race); scan the staged flags on the coordinating thread.
-    for (StreamBase* s : streams_) {
-      if (s->has_staged()) {
-        s->Commit();
-        if (s->consumer_index_ != StreamBase::kNoEndpoint) {
-          ArmNext(s->consumer_index_);
-        }
+  if (!commit_queue_->empty()) {
+    for (StreamBase* s : *commit_queue_) {
+      s->Commit();
+      if (s->consumer_index_ != StreamBase::kNoEndpoint) {
+        ArmNext(s->consumer_index_);
       }
     }
-  } else {
-    if (!commit_queue_->empty()) {
-      for (StreamBase* s : *commit_queue_) {
-        s->Commit();
-        if (s->consumer_index_ != StreamBase::kNoEndpoint) {
-          ArmNext(s->consumer_index_);
-        }
+    commit_queue_->clear();
+  }
+  // Drain edges: a stream that went full -> non-full this cycle re-opens a
+  // blocked producer's output path for c+1. Belt-and-braces on top of the
+  // blocked-producer hint contract.
+  if (!drain_queue_->empty()) {
+    for (StreamBase* s : *drain_queue_) {
+      s->drained_pending_ = false;
+      if (s->producer_index_ != StreamBase::kNoEndpoint) {
+        ArmNext(s->producer_index_);
       }
-      commit_queue_->clear();
     }
-    // Drain edges: a stream that went full -> non-full this cycle re-opens
-    // a blocked producer's output path for c+1. Belt-and-braces on top of
-    // the blocked-producer hint contract.
-    if (!drain_queue_->empty()) {
-      for (StreamBase* s : *drain_queue_) {
-        s->drained_pending_ = false;
-        if (s->producer_index_ != StreamBase::kNoEndpoint) {
-          ArmNext(s->producer_index_);
-        }
-      }
-      drain_queue_->clear();
-    }
+    drain_queue_->clear();
   }
 }
 
@@ -899,7 +674,7 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
   qc_stream_ = kNone;
   dense_streak_ = 0;
   while (now_ < limit) {
-    // Quiescence is checked every VISITED cycle, like the legacy loop; the
+    // Quiescence is checked every VISITED cycle, like the reference loop; the
     // gaps in between are provably frozen (unarmed certified modules do not
     // tick, and Idle()/InFlight() are pure state functions), so no jump can
     // overshoot the quiesce cycle.
@@ -928,12 +703,14 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
     // An empty run list now means a harness staged writes between runs:
     // the cycle dispatches commit-only, so the commit edge arms consumers.
     FPGADP_DCHECK(!run_now_.empty() || !commit_queue_->empty());
-    if (fast_forward_ && !always_active_.empty() &&
+    if (!always_active_.empty() &&
         run_now_.size() == always_active_.size()) {
       // The run list is exactly the always-active set (it is always a
       // subset). Those modules carry no event certification, so they can
-      // only be skipped under the legacy fast-forward conditions: every
-      // stream empty and every hint beyond now_+1.
+      // only be skipped under the whole-system skip conditions: every
+      // stream empty and every hint beyond now_+1 (the NextEventCycle
+      // contract), with the skipped cycles attributed lazily like any
+      // sleeper's.
       bool streams_empty = true;
       for (const StreamBase* s : streams_) {
         if (s->InFlight()) {
@@ -966,11 +743,11 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
       }
     }
     if (run_now_.size() == modules_.size()) {
-      // A full run list means the cycle costs exactly what the legacy loop
-      // charges, plus the arming bookkeeping on top — dispatching a full
+      // A full run list means the cycle costs exactly what the reference
+      // loop charges, plus the arming bookkeeping on top — dispatching a full
       // list is never cheaper than just ticking everyone. After a streak of
       // such cycles (hysteresis: the phase exit below costs O(modules)),
-      // drop into a saturated inner loop that runs the legacy tick body
+      // drop into a saturated inner loop that runs the level-tick body
       // with zero scheduling overhead. Leave it only on a sustained LULL:
       // the loop samples the busy-cycle sum once per kSaturationLullCycles
       // window and exits when a whole window accrued fewer busy-marks than
@@ -995,46 +772,12 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
         // Hoisted out of the loop: nothing inside reads flushed_, and the
         // streak that got us here already cleared it.
         flushed_ = false;
-        std::vector<StreamBase*>* const cq = commit_queue_.get();
         while (now_ < limit) {
-          // Inline quiesce check with the legacy loop's exact shape (first
-          // in-flight stream answers in one non-virtual load); an
-          // out-of-line EventQuiesced() call here measurably taxed the
-          // ~tens-of-ns cycle body on saturated dense pipelines.
-          bool streams_empty = true;
-          for (const StreamBase* s : streams_) {
-            if (s->InFlight()) {
-              streams_empty = false;
-              break;
-            }
-          }
-          if (streams_empty) {
-            bool all_idle = true;
-            for (const Module* m : modules_) {
-              if (!m->Idle()) {
-                all_idle = false;
-                break;
-              }
-            }
-            if (all_idle) break;
-          }
-          if (parallel_tick_) {
-            TickAndCommit();
-          } else {
-            // Serial TickAndCommit body inlined, commit queue deref
-            // hoisted: the saturated loop is the one place the engine
-            // spends whole phases in a ~tens-of-ns cycle body, so the
-            // call + mode branch + shared_ptr chase are worth shaving.
-            [[maybe_unused]] const obs::internal::TickPhaseGuard tick_guard;
-            for (Module* m : modules_) {
-              m->Tick(now_);
-              m->FinalizeTick();
-            }
-            if (!cq->empty()) {
-              for (StreamBase* s : *cq) s->Commit();
-              cq->clear();
-            }
-          }
+          // The reference loop's exact cycle body: quiesce probe (the first
+          // in-flight stream answers in one non-virtual load), then tick
+          // and commit everyone.
+          if (QuiescedNow()) break;
+          TickAndCommit();
           ++now_;
           if (--probe_in == 0) {
             uint64_t busy = 0;
@@ -1068,7 +811,7 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
     ++now_;
   }
   // Budget exhausted (or a jump clamped to it): settle every module through
-  // the final cycle, then classify exactly like the legacy loop.
+  // the final cycle, then classify exactly like the reference loop.
   for (size_t i = 0; i < modules_.size(); ++i) SettleTo(i, now_);
   FlushObservers();
   if (QuiescedNow()) return now_;

@@ -24,35 +24,29 @@ struct TraceOptions {
   std::string label = "engine";
 };
 
-class ThreadPool;
-
 /// How Run() decides which modules to tick each cycle.
 ///
-///  * kEventDriven — the default: per-module activation. A module ticks only
-///    when armed (its own NextEventCycle hint, residual items on a bound
-///    input stream, a stream commit/drain edge, or an explicit WakeUp). Idle
-///    modules cost zero per cycle, fast-forward falls out naturally (the
-///    engine jumps to the event-queue head), and the mode composes with
-///    parallel tick. Modules not SetEventSafe() are ticked every visited
-///    cycle exactly as in the level-tick loop.
-///  * kLevelTick — the reference oracle: every module ticks every visited
-///    cycle (fast-forward may skip whole cycles when every stream is empty).
-///    Event-driven runs must reproduce its cycles and counters bit for bit;
-///    it stays selectable (`--engine=tick`, FPGADP_ENGINE=tick) so tests and
-///    CI can check that.
+///  * kEventDriven — the default and the one production scheduler:
+///    per-module activation. A module ticks only when armed (its own
+///    NextEventCycle hint, residual items on a bound input stream, a stream
+///    commit/drain edge, or an explicit WakeUp). Idle modules cost zero per
+///    cycle and cycles with no armed work are jumped over. Modules not
+///    SetEventSafe() are always active: ticked every visited cycle, and
+///    skipped only across gaps where every stream is empty and every hint
+///    lies ahead — the same NextEventCycle contract, applied to them alone.
+///  * kLevelTick — the reference oracle: every module ticks every cycle,
+///    with no skipping of any kind. Event-driven runs must reproduce its
+///    cycles and counters bit for bit; it stays selectable (`--engine=tick`,
+///    FPGADP_ENGINE=tick) so tests and CI can check that.
 enum class Scheduling : uint8_t { kLevelTick, kEventDriven };
 
-/// Process-global defaults new engines are constructed with, so harness
-/// flags (e.g. bench_common's --threads) reach engines built deep inside
-/// pipeline helpers (ExecuteFpga, MicroRec, ACCL) without threading a knob
-/// through every config struct. Per-engine SetThreads/SetFastForward/
-/// SetScheduling override them. The scheduling default is kEventDriven
-/// unless the FPGADP_ENGINE environment variable (read once, at startup)
-/// says "tick", so test tiers can sweep the scheduler without rebuilding.
-void SetDefaultEngineThreads(uint32_t n);
-uint32_t DefaultEngineThreads();
-void SetDefaultFastForward(bool on);
-bool DefaultFastForward();
+/// Process-global default new engines are constructed with, so harness
+/// flags (bench_common's --engine) reach engines built deep inside pipeline
+/// helpers (ExecuteFpga, MicroRec, ACCL) without threading a knob through
+/// every config struct; Engine::SetScheduling overrides it per engine. It
+/// is kEventDriven unless the FPGADP_ENGINE environment variable (read
+/// once, at startup) says "tick", so test tiers can sweep the scheduler
+/// without rebuilding.
 void SetDefaultScheduling(Scheduling s);
 Scheduling DefaultScheduling();
 
@@ -80,45 +74,24 @@ Scheduling SchedulingFromEnv(const char* value);
 /// them never changes simulated cycle counts, and when disabled the cost is
 /// one pointer check per cycle.
 ///
-/// Performance modes — all preserve cycle counts and every per-module
-/// counter bit-for-bit (locked down by tests/golden_cycles_test.cc,
-/// tests/engine_parallel_test.cc and tests/engine_event_test.cc):
+/// Two paths drive the cycles, and they agree on cycle counts and every
+/// per-module counter bit for bit (locked down by
+/// tests/golden_cycles_test.cc and tests/engine_event_test.cc):
 ///
-///  * Event-driven scheduling (the default; SetScheduling selects the
-///    level-tick reference loop instead): Run() keeps a per-module
-///    activation state plus a calendar heap and ticks only armed modules;
-///    stream commit/drain edges and explicit WakeUp() calls re-arm sleepers,
-///    and cycles with no armed work are jumped over entirely. Host cost
-///    scales with events, not cycles x modules. Composes with parallel tick
-///    (the armed set is dispatched level-by-level). See DESIGN.md
-///    "Event-driven core".
+///  * The event scheduler (Run() by default): keeps a per-module activation
+///    state plus a calendar heap and ticks only armed modules; stream
+///    commit/drain edges and explicit WakeUp() calls re-arm sleepers, and
+///    cycles with no armed work are jumped over, their stall attribution
+///    settled in closed form via Module::AccountSkip. Host cost scales with
+///    events, not cycles x modules. See DESIGN.md "Event-driven core".
 ///
-///  * Fast-forward (on by default, SetFastForward) — a level-tick feature:
-///    when every stream is empty, Run() asks each module for its
-///    NextEventCycle() hint and jumps straight to the earliest one,
-///    bulk-attributing the skipped cycles via Module::AccountSkip. Idle tails
-///    and retransmission-timer waits collapse from O(cycles) to O(events).
-///    The event scheduler jumps on its own and consults the flag only for
-///    modules that are not event-certified. Only Run() fast-forwards; manual
-///    Step() driving always advances one real cycle.
-///
-///  * Parallel tick (SetThreads): module Tick()s and stream Commit()s are
-///    sharded across a ThreadPool. Ticks run level-by-level over the
-///    dependency order derived from stream endpoint bindings (registration
-///    order between connected modules is preserved exactly — same-cycle
-///    Read()s are visible to later-ticking neighbours, so order DOES
-///    matter), with a barrier per level; modules inside one level share no
-///    stream and are provably independent. Requires every module to be
-///    parallel_safe(); one uncertified module (or a conflicting stream
-///    binding) falls the engine back to the bit-identical serial path.
-///    Levels with at most a handful of armed modules run inline on the
-///    coordinating thread — a pool dispatch costs more than a few ticks.
-///    Probes and quiesce checks stay on the coordinating thread, so all
-///    observer state remains single-threaded.
+///  * The level-tick loop: every module ticks every cycle, in registration
+///    order. It is the differential oracle and is reached only by Step(),
+///    by observed runs, and by SetScheduling(kLevelTick) (`--engine=tick`,
+///    FPGADP_ENGINE=tick).
 ///
 /// Attaching a trace writer or metrics registry routes that engine's Run()
-/// through the level-tick loop without fast-forward: per-cycle probes need
-/// every cycle.
+/// through the level-tick loop: per-cycle probes need every cycle.
 class Engine {
  public:
   /// `clock_hz` is the modeled kernel clock, used only by reporting helpers.
@@ -130,10 +103,9 @@ class Engine {
   void AddModule(Module* module);
 
   /// Registers a stream so the engine commits it each cycle. Commit work is
-  /// skipped for streams that staged nothing: in serial mode writers enqueue
-  /// themselves on a dirty-stream list the commit phase drains (streams with
-  /// no traffic cost zero per cycle); in parallel mode the commit shard
-  /// checks the per-stream staged flag instead (the list push would race).
+  /// skipped for streams that staged nothing: writers enqueue themselves on
+  /// a dirty-stream list the commit phase drains, so streams with no
+  /// traffic cost zero per cycle.
   void AddStream(StreamBase* stream);
 
   /// Records this run into `writer` (one process track group per engine).
@@ -144,26 +116,21 @@ class Engine {
   /// Overrides the process-global registry for this engine.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
-  /// Sets the tick/commit worker count; 1 restores the serial loop. The
-  /// pool spins up lazily on the next Step()/Run().
-  void SetThreads(uint32_t n);
-  uint32_t threads() const { return threads_; }
-
-  /// Enables/disables event-driven fast-forwarding inside Run().
-  void SetFastForward(bool on) { fast_forward_ = on; }
-  bool fast_forward() const { return fast_forward_; }
+  /// Always 1: every engine ticks on the calling thread. Kept only because
+  /// the repository benchmark (repobench/workloads.cc) reports it; remove
+  /// it together with that field in the next benchmark change.
+  uint32_t threads() const { return 1; }
 
   /// Selects the Run() scheduler (see Scheduling). Event-driven runs are
   /// bit-identical to level-tick runs; the level-tick loop stays available
   /// as the reference for differential testing (`--engine=tick` in
   /// benches). Attaching a trace writer or metrics registry forces the
-  /// level-tick path for that engine — per-cycle probes need every cycle —
-  /// exactly like fast-forward.
+  /// level-tick path for that engine — per-cycle probes need every cycle.
   void SetScheduling(Scheduling s) { scheduling_ = s; }
   Scheduling scheduling() const { return scheduling_; }
 
-  /// Advances exactly one cycle. Never fast-forwards, so manually stepped
-  /// harnesses observe every cycle; see FlushObservers() for the probe
+  /// Advances exactly one cycle through the level-tick body, so manually
+  /// stepped harnesses observe every cycle; see FlushObservers() for the probe
   /// contract when driving the engine this way.
   void Step();
 
@@ -241,31 +208,22 @@ class Engine {
   void ProbeStep();
   void ExportMetrics();
   void RebuildSchedule();
-  /// Certification + dependency-level construction for parallel ticking;
-  /// false leaves the engine on the serial path.
-  bool TryBuildLevels();
-  /// One cycle's module ticks plus the stream commit phase, under the
-  /// tick-phase metrics-lookup guard.
+  /// One level-tick cycle: every module ticks in registration order, then
+  /// the dirty streams commit, under the tick-phase metrics-lookup guard.
   void TickAndCommit();
-  /// Earliest NextEventCycle() over all modules, clamped to now_ when any
-  /// module reports kAlwaysActive; only meaningful when every stream is
-  /// empty. DCHECKs that every hint is kNoEventCycle, kAlwaysActive, or a
-  /// cycle >= now_, so a buggy hint fails loud instead of silently
-  /// disabling fast-forward.
-  Cycle GlobalNextEventCycle() const;
 
   // --- Event-driven core (Scheduling::kEventDriven) -----------------------
 
   /// The event-mode Run() loop: builds each cycle's armed-module run list
   /// from the calendar heap, the previous cycle's next-cycle arms, and the
-  /// always-active set; dispatches it (serially or level-parallel); and
-  /// jumps over cycles with no armed work.
+  /// always-active set; dispatches it; and jumps over cycles with no armed
+  /// work.
   Result<Cycle> RunEventDriven(uint64_t max_cycles);
   /// (Re)allocates the per-module activation arrays and the per-stream
   /// wake-edge plumbing; arms every event-certified module at now_.
   void RebuildEventState();
   /// Brings every module's skipped-cycle attribution up to now_ and drops
-  /// the event state. Called before any legacy-path stepping (Step, legacy
+  /// the event state. Called before any level-tick stepping (Step, a level-tick
   /// Run, schedule rebuild) so bucket totals are always settled whenever
   /// event bookkeeping is not live.
   void InvalidateEventState();
@@ -283,8 +241,8 @@ class Engine {
   /// the event loop's entry seeding, also used to re-enter bookkeeping
   /// after a saturated phase (see RunEventDriven).
   void SeedAllArmed();
-  /// Ticks the armed modules of cycle `c` (serial or level-parallel with
-  /// small levels inlined), commits dirty streams, and arms stream edges.
+  /// Ticks the armed modules of cycle `c` in registration order, commits
+  /// dirty streams, and arms stream edges.
   void DispatchCycle(Cycle c);
   /// Post-tick re-arm for a certified module: bound-input residual first
   /// (no virtual call), then the NextEventCycle hint.
@@ -292,9 +250,10 @@ class Engine {
   /// Arms module `i` for the cycle after the one being dispatched.
   void ArmNext(size_t i);
   /// Event-mode wake entry point (Module::WakeUp): arms the target while
-  /// preserving legacy registration-order visibility — a target whose index
-  /// precedes the in-flight tick is armed for the next cycle (the legacy
-  /// loop ticked it before the mutation), a later one for this cycle.
+  /// preserving the reference loop's registration-order visibility — a
+  /// target whose index precedes the in-flight tick is armed for the next
+  /// cycle (the reference loop ticked it before the mutation), a later one
+  /// for this cycle.
   void WakeModule(size_t i);
 
   double clock_hz_;
@@ -305,20 +264,10 @@ class Engine {
   bool flushed_ = true;  // no cycles stepped since the last observer flush
   std::unique_ptr<TraceState> trace_;
   std::unique_ptr<MetricsState> metrics_;
-  bool fast_forward_ = true;
-  uint32_t threads_ = 1;
   Scheduling scheduling_ = Scheduling::kEventDriven;
-  std::unique_ptr<ThreadPool> pool_;
-  // Parallel tick schedule, rebuilt when the module/stream set changes:
-  // levels_ partitions modules so that no two modules in one level share a
-  // stream, and every stream edge points from an earlier level to a later
-  // one in registration order.
+  // Set when the module/stream set changes; the next Step()/Run() re-wires
+  // the commit queue and the stream endpoint indices.
   bool schedule_dirty_ = true;
-  bool parallel_tick_ = false;
-  std::vector<std::vector<Module*>> levels_;
-  // Per-module level index (parallel to modules_), kept alongside levels_
-  // so the event dispatcher can bucket an armed set by level in O(armed).
-  std::vector<uint32_t> module_level_;
 
   // --- Event-driven scheduler state (valid iff event_state_valid_) -------
   //
@@ -331,13 +280,13 @@ class Engine {
   // (sortedness tracked while building, sorted only when a wake broke the
   // order), which becomes the seed of the next cycle's run list. Modules
   // not event_safe() live in always_active_ and join every run list —
-  // exact legacy behavior for them. accounted_[i] is the cycle (exclusive)
+  // exact reference behavior for them. accounted_[i] is the cycle (exclusive)
   // through which module i's stall attribution is settled; gaps settle
   // lazily at the next tick, wake, or Run() exit.
   bool event_state_valid_ = false;
   bool event_dispatching_ = false;
   // True while the event loop runs its saturated-phase inner loop (every
-  // module armed and busy): ticks run through the zero-overhead legacy body
+  // module armed and busy): ticks run through the zero-overhead level-tick body
   // and wakes are dropped — everyone ticks every cycle anyway, and the
   // re-seed on phase exit re-arms the world.
   bool event_saturated_ = false;
@@ -358,26 +307,20 @@ class Engine {
   // Bound input streams per module (consumer side), for the residual-item
   // re-arm check that avoids the virtual hint call on flow-through paths.
   std::vector<std::vector<const StreamBase*>> bound_inputs_;
-  // Armed-set level buckets for event+parallel dispatch, reused per cycle.
-  std::vector<std::vector<size_t>> level_buckets_;
-  // Staged-stream scratch for the parallel-mode commit phase, reused per
-  // cycle so the staged-count threshold costs no allocation.
-  std::vector<StreamBase*> staged_streams_;
   // Cached quiescence blocker (module / stream index; ~0 = none cached).
   size_t qc_module_ = ~size_t{0};
   size_t qc_stream_ = ~size_t{0};
-  // Serial-mode dirty-stream list: streams push themselves here on their
-  // first staged write of a cycle (StreamBase::NoteStaged) and the commit
-  // phase drains it, so idle streams cost nothing. RebuildSchedule() shares
-  // this vector with registered streams in serial mode and detaches them in
-  // parallel mode. Shared ownership (instead of a raw back-pointer) makes
-  // stream/engine destruction order irrelevant — harnesses destroy them in
-  // both orders.
+  // Dirty-stream list: streams push themselves here on their first staged
+  // write of a cycle (StreamBase::NoteStaged) and the commit phase drains
+  // it, so idle streams cost nothing. RebuildSchedule() shares this vector
+  // with every registered stream. Shared ownership (instead of a raw
+  // back-pointer) makes stream/engine destruction order irrelevant —
+  // harnesses destroy them in both orders.
   std::shared_ptr<std::vector<StreamBase*>> commit_queue_ =
       std::make_shared<std::vector<StreamBase*>>();
   // Read-edge wake list: streams that went from full to non-full this cycle
   // (StreamBase::NoteDrained) so the event scheduler can re-arm a blocked
-  // producer. Attached to streams only on the serial event-driven path.
+  // producer. Attached to streams only while event bookkeeping is live.
   std::shared_ptr<std::vector<StreamBase*>> drain_queue_ =
       std::make_shared<std::vector<StreamBase*>>();
 };

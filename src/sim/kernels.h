@@ -40,7 +40,6 @@ class VectorSource : public Module {
     FPGADP_CHECK(out_ != nullptr);
     FPGADP_CHECK(lanes_ > 0);
     out_->BindProducer(this);
-    SetParallelSafe();
     SetEventSafe();
   }
 
@@ -96,7 +95,6 @@ class VectorSink : public Module {
     FPGADP_CHECK(in_ != nullptr);
     FPGADP_CHECK(lanes_ > 0);
     in_->BindConsumer(this);
-    SetParallelSafe();
     SetEventSafe();
   }
 
@@ -158,7 +156,6 @@ class TransformKernel : public Module {
     FPGADP_CHECK(timing_.ii > 0 && timing_.lanes > 0);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetParallelSafe();
     SetEventSafe();
   }
 
@@ -277,7 +274,6 @@ class ReduceKernel : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetParallelSafe();
     SetEventSafe();
   }
 
@@ -360,7 +356,6 @@ class DelayLine : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetParallelSafe();
     SetEventSafe();
   }
 

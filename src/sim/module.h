@@ -70,11 +70,11 @@ class Module {
   /// streams are drained.
   virtual bool Idle() const = 0;
 
-  /// Fast-forward hint: the earliest cycle >= `now` at which this module
-  /// could possibly make forward progress, given that every stream in the
-  /// system is empty and stays empty until then. Timer- and latency-driven
-  /// modules (memory channels, retransmission timers, delay lines) return
-  /// their next deadline; purely reactive modules return kNoEventCycle. The
+  /// Event hint: the earliest cycle >= `now` at which this module could
+  /// possibly make forward progress, given that every stream in the system
+  /// is empty and stays empty until then. Timer- and latency-driven modules
+  /// (memory channels, retransmission timers, delay lines) return their next
+  /// deadline; purely reactive modules return kNoEventCycle. The
   /// conservative default — kAlwaysActive, "tick me every cycle" — disables
   /// skipping past an un-audited module, so subclasses opt in explicitly.
   ///
@@ -91,11 +91,11 @@ class Module {
     return kAlwaysActive;
   }
 
-  /// Engine-driven bulk attribution for a fast-forwarded gap: accounts the
-  /// `to - from` skipped cycles exactly as the per-cycle Tick()s would have
-  /// (AttributeSkip first, then idle backfill — the bulk analogue of
-  /// FinalizeTick), keeping every bucket total bit-identical to a run
-  /// without fast-forward.
+  /// Engine-driven bulk attribution for a gap the event scheduler skipped:
+  /// accounts the `to - from` skipped cycles exactly as the per-cycle
+  /// Tick()s would have (AttributeSkip first, then idle backfill — the bulk
+  /// analogue of FinalizeTick), keeping every bucket total bit-identical to
+  /// the every-cycle reference loop.
   void AccountSkip(Cycle from, Cycle to) {
     AttributeSkip(from, to);
     ticked_ += to - from;
@@ -105,18 +105,11 @@ class Module {
     }
   }
 
-  /// True iff the module's Tick() touches only its own state and its bound
-  /// streams (see StreamBase::BindProducer/BindConsumer) — the certification
-  /// the engine's parallel mode requires. Modules that call into shared
-  /// structures or into other modules directly must stay uncertified; one
-  /// uncertified module drops the whole engine to the serial tick path.
-  bool parallel_safe() const { return parallel_safe_; }
-
   /// True iff the module is certified for event-driven scheduling: ticking
   /// it while unarmed (no pending hint, no residual on a bound input stream,
   /// no wakeup) is a no-op except for stall attribution, which AttributeSkip
   /// reproduces. Uncertified modules are ticked every cycle even in event
-  /// mode — exact legacy behavior, never an approximation.
+  /// mode — exact reference behavior, never an approximation.
   bool event_safe() const { return event_safe_; }
 
   /// Requests a tick from the event-driven scheduler: at the current cycle
@@ -214,10 +207,6 @@ class Module {
     (void)to;
   }
 
-  /// Certifies this module for the engine's parallel tick mode. Call from
-  /// the subclass constructor, after binding every stream the Tick touches.
-  void SetParallelSafe() { parallel_safe_ = true; }
-
   /// Certifies this module for event-driven scheduling (see event_safe()).
   /// Call from the subclass constructor, after binding every stream the
   /// Tick touches: the engine re-arms a certified module whenever a bound
@@ -238,7 +227,6 @@ class Module {
   uint64_t idle_cycles_ = 0;
   uint64_t attributed_ = 0;
   uint64_t ticked_ = 0;
-  bool parallel_safe_ = false;
   bool event_safe_ = false;
   /// Set by Engine::AddModule so WakeUp() can reach the scheduler. A module
   /// belongs to at most one engine (AddModule enforces it).

@@ -72,18 +72,20 @@ class StreamBase {
   size_t high_watermark() const { return high_watermark_; }
 
   /// True iff writes are staged and the next Commit() will publish them.
-  /// The engine's parallel commit shard keys off this flag.
+  /// The engine re-seeds its dirty-stream list from this flag when it
+  /// (re)wires a stream.
   bool has_staged() const { return has_staged_; }
 
   const std::string& name() const { return name_; }
 
-  /// Endpoint declarations for the engine's parallel scheduler: the module
-  /// whose Tick writes this stream, and the one whose Tick reads it. Called
-  /// from module constructors. A stream may legitimately have an unbound
-  /// side (driven from outside the engine, e.g. a test harness); a side
-  /// bound twice to *different* modules marks the stream conflicted, which
-  /// vetoes parallel ticking for the whole engine (the scheduler cannot
-  /// order an unknown set of writers).
+  /// Endpoint declarations for the event scheduler's wake edges: the module
+  /// whose Tick writes this stream (re-armed by a drain edge), and the one
+  /// whose Tick reads it (re-armed by a commit edge). Called from module
+  /// constructors. A stream may legitimately have an unbound side (driven
+  /// from outside the engine, e.g. a test harness); a side bound twice to
+  /// *different* modules marks the stream conflicted, which only demotes
+  /// every module of the engine to always-active (an edge with an unknown
+  /// set of endpoints cannot be attributed, so nobody may sleep on it).
   void BindProducer(Module* m) {
     if (producer_ != nullptr && producer_ != m) bind_conflict_ = true;
     producer_ = m;
@@ -98,11 +100,9 @@ class StreamBase {
 
  protected:
   /// Called by the typed stream on the first staged item of a cycle: flags
-  /// the stream dirty and, when an engine registered its serial commit
-  /// queue, enqueues the stream so the commit phase touches only streams
-  /// that actually moved data. The queue pointer is nulled in parallel tick
-  /// mode (worker threads may not share a push) — the engine then falls
-  /// back to flag-checked iteration.
+  /// the stream dirty and, when an engine registered its commit queue,
+  /// enqueues the stream so the commit phase touches only streams that
+  /// actually moved data.
   void NoteStaged() {
     if (has_staged_) return;
     has_staged_ = true;
@@ -112,10 +112,9 @@ class StreamBase {
   /// Called by the typed stream when a read is about to free slots in a FULL
   /// stream: the producer may be output-blocked, and the event-driven
   /// scheduler must re-arm it for the next cycle (a read edge is the mirror
-  /// of the commit edge that wakes consumers). The drain queue is only
-  /// attached — like the commit queue — by an engine running the serial
-  /// event-driven path; the null check keeps the per-item read cost at one
-  /// predictable branch everywhere else.
+  /// of the commit edge that wakes consumers). The drain queue is attached
+  /// only while an engine's event bookkeeping is live; the null check keeps
+  /// the per-item read cost at one predictable branch everywhere else.
   void NoteDrained() {
     if (drain_queue_ == nullptr || drained_pending_) return;
     drained_pending_ = true;

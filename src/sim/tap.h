@@ -35,8 +35,6 @@ class StreamTap : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    // Event-safe but NOT parallel-safe: the tap emits trace instants through
-    // a shared TraceWriter, which must stay on the coordinating thread.
     SetEventSafe();
   }
 

@@ -28,8 +28,8 @@
 //   on jitter — there is no jitter, the sim is deterministic, but the
 //   headroom keeps the constant stable across config tweaks).
 //
-// Determinism doubles as an assertion: each scenario runs under all three
-// engine modes (serial, fast-forward, threaded) and the completion logs
+// Determinism doubles as an assertion: each scenario runs under the event
+// scheduler and the level-tick reference loop, and the completion logs
 // must match bit-for-bit.
 
 #include <algorithm>
@@ -65,8 +65,8 @@ struct ChaosResult {
   uint64_t fault_count = 0;
 };
 
-ChaosResult RunChaos(ArrivalKind kind, uint64_t seed, uint32_t threads,
-                     bool fast_forward) {
+ChaosResult RunChaos(ArrivalKind kind, uint64_t seed,
+                     sim::Scheduling scheduling = sim::DefaultScheduling()) {
   SyntheticWorkload::Config wc;
   wc.num_shards = 4;
   SyntheticWorkload wl(wc);
@@ -118,13 +118,7 @@ ChaosResult RunChaos(ArrivalKind kind, uint64_t seed, uint32_t threads,
   ChaosResult result;
   door.set_completion_log(&result.log);
   cluster.engine().AddModule(&door);
-  cluster.engine().SetThreads(threads);
-  cluster.engine().SetFastForward(fast_forward);
-  // Fast-forward off selects the every-cycle level-tick oracle, so the
-  // mode comparison also crosses schedulers.
-  if (!fast_forward) {
-    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
-  }
+  cluster.engine().SetScheduling(scheduling);
 
   auto cycles = cluster.Run(5u << 20);
   EXPECT_TRUE(cycles.ok());
@@ -161,8 +155,7 @@ class ChaosRecoveryTest
 
 TEST_P(ChaosRecoveryTest, P99RecoversWithinBudgetAfterEachPrimaryDeath) {
   const auto [kind, seed] = GetParam();
-  const ChaosResult r = RunChaos(kind, seed, /*threads=*/1,
-                                 /*fast_forward=*/true);
+  const ChaosResult r = RunChaos(kind, seed);
 
   // 1. Nothing wrong, nothing lost. Every offered request is admitted,
   //    completes, and carries all its slices (degraded = missing slices).
@@ -196,21 +189,19 @@ TEST_P(ChaosRecoveryTest, P99RecoversWithinBudgetAfterEachPrimaryDeath) {
 
 TEST_P(ChaosRecoveryTest, CompletionTimelineIdenticalAcrossEngineModes) {
   const auto [kind, seed] = GetParam();
-  const ChaosResult serial = RunChaos(kind, seed, 1, false);
-  const ChaosResult ff = RunChaos(kind, seed, 1, true);
-  const ChaosResult threaded = RunChaos(kind, seed, 8, true);
+  const ChaosResult tick = RunChaos(kind, seed, sim::Scheduling::kLevelTick);
+  const ChaosResult event =
+      RunChaos(kind, seed, sim::Scheduling::kEventDriven);
 
-  for (const ChaosResult* other : {&ff, &threaded}) {
-    ASSERT_EQ(serial.log.size(), other->log.size());
-    EXPECT_EQ(serial.failovers, other->failovers);
-    for (size_t i = 0; i < serial.log.size(); ++i) {
-      EXPECT_EQ(serial.log[i].completed_at, other->log[i].completed_at)
-          << "completion " << i;
-      EXPECT_EQ(serial.log[i].latency_cycles, other->log[i].latency_cycles)
-          << "completion " << i;
-      EXPECT_EQ(serial.log[i].class_index, other->log[i].class_index);
-      EXPECT_EQ(serial.log[i].degraded, other->log[i].degraded);
-    }
+  ASSERT_EQ(tick.log.size(), event.log.size());
+  EXPECT_EQ(tick.failovers, event.failovers);
+  for (size_t i = 0; i < tick.log.size(); ++i) {
+    EXPECT_EQ(tick.log[i].completed_at, event.log[i].completed_at)
+        << "completion " << i;
+    EXPECT_EQ(tick.log[i].latency_cycles, event.log[i].latency_cycles)
+        << "completion " << i;
+    EXPECT_EQ(tick.log[i].class_index, event.log[i].class_index);
+    EXPECT_EQ(tick.log[i].degraded, event.log[i].degraded);
   }
 }
 

@@ -1,13 +1,13 @@
 // Event-driven scheduler core: unit tests for the arming rules and a
 // 100-seed event-vs-tick differential.
 //
-// The correctness frame for Scheduling::kEventDriven is that the legacy
-// level-tick loop ticks every module on every visited cycle, so EXTRA ticks
-// are always harmless (an unarmed certified module's Tick is a no-op except
-// for stall attribution) and only a MISSED tick can diverge. Every test here
-// therefore compares an event-driven run against a bit-identical legacy run
-// of the same topology: elapsed cycles, per-module stall buckets, and (where
-// a tick log is kept) the exact dispatch sequence.
+// The correctness frame for Scheduling::kEventDriven is that the level-tick
+// reference loop ticks every module on every cycle, so EXTRA ticks are
+// always harmless (an unarmed certified module's Tick is a no-op except for
+// stall attribution) and only a MISSED tick can diverge. Every test here
+// therefore compares an event-driven run against a bit-identical reference
+// run of the same topology: elapsed cycles, per-module stall buckets, and
+// (where a tick log is kept) the exact dispatch sequence.
 //
 // Covered arming scenarios, one test each:
 //  * same-cycle re-arm (a module whose post-tick hint is `now`),
@@ -19,13 +19,14 @@
 //    a reactive consumer; drain edge re-opens a blocked producer),
 //  * the saturated-phase fast path (dense streak entry, wake-while-
 //    saturated, quiesce inside the fast loop, staggered exit),
-//  * Step()/Run() interleaving (Step always drives the legacy path and must
-//    settle event bookkeeping first).
+//  * Step()/Run() interleaving (Step always drives the level-tick body and
+//    must settle event bookkeeping first).
 //
 // The differential suite reruns the three sharded workloads (ANNS top-k,
-// KVS multi-get, partitioned hash join) across 100 seeded deployments and
-// the serial / no-fast-forward / threaded engine modes, asserting cycles
-// and results are bit-identical between kLevelTick and kEventDriven.
+// KVS multi-get, partitioned hash join) across 100 seeded deployments,
+// asserting cycles and results are bit-identical between kLevelTick and
+// kEventDriven. Whole-pipeline comparisons of library modules (kernels,
+// lossy RDMA, the relational executor) live in engine_parallel_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -228,7 +229,6 @@ class BurstProducer : public Module {
         burst_(burst) {
     out_->BindProducer(this);
     SetEventSafe();
-    SetParallelSafe();
   }
   void Tick(Cycle c) override {
     if (emitted_ < count_ && c >= Cycle(emitted_) * period_) {
@@ -261,7 +261,6 @@ class GreedyConsumer : public Module {
       : Module(std::move(name)), in_(in), log_(log) {
     in_->BindConsumer(this);
     SetEventSafe();
-    SetParallelSafe();
   }
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
@@ -289,8 +288,8 @@ class GreedyConsumer : public Module {
 /// either keeps hinting `now` (the documented blocked-producer contract:
 /// tick me every cycle, exactly like the legacy loop) or goes fully to
 /// sleep with kNoEventCycle — the latter deliberately leans on the engine's
-/// serial-mode drain-edge wakeup (the belt-and-braces arm when a stream
-/// goes full -> non-full), and overrides AttributeSkip so the slept-through
+/// drain-edge wakeup (the belt-and-braces arm when a stream goes full ->
+/// non-full), and overrides AttributeSkip so the slept-through
 /// blocked cycles are attributed exactly as the legacy per-cycle ticks
 /// would have marked them.
 class TrickleProducer : public Module {
@@ -301,7 +300,6 @@ class TrickleProducer : public Module {
       : Module(std::move(name)), out_(out), total_(total), policy_(policy) {
     out_->BindProducer(this);
     SetEventSafe();
-    SetParallelSafe();
   }
   void Tick(Cycle) override {
     if (sent_ == total_) return;
@@ -345,7 +343,6 @@ class TimedPopper : public Module {
       : Module(std::move(name)), in_(in), period_(period) {
     in_->BindConsumer(this);
     SetEventSafe();
-    SetParallelSafe();
   }
   void Tick(Cycle c) override {
     if (c % period_ == 0 && in_->CanRead()) {
@@ -626,38 +623,14 @@ TEST(EngineEventTest, DrainEdgeReopensBlockedProducer) {
   const SimpleRun hint_now = run(Scheduling::kEventDriven,
                                  TrickleProducer::BlockedPolicy::kHintNow);
   ExpectSameRun(ref, hint_now, "blocked-hint-now");
-  // Sleeping blocked producer: relies entirely on the serial-mode drain
-  // edge (full -> non-full re-arms the producer for the next cycle). A
-  // dropped edge deadlocks the run; wrong AttributeSkip bulk-attribution
-  // would skew the blocked bucket.
+  // Sleeping blocked producer: relies entirely on the drain edge (full ->
+  // non-full re-arms the producer for the next cycle). A dropped edge
+  // deadlocks the run; wrong AttributeSkip bulk-attribution would skew the
+  // blocked bucket.
   const SimpleRun drained =
       run(Scheduling::kEventDriven,
           TrickleProducer::BlockedPolicy::kSleepUntilDrainEdge);
   ExpectSameRun(ref, drained, "blocked-drain-edge");
-}
-
-TEST(EngineEventTest, ParallelEventTickMatchesLegacy) {
-  auto run = [](Scheduling s, uint32_t threads) {
-    SimpleRun r;
-    Stream<int> ch("ch", 2);
-    TrickleProducer prod("prod", &ch, /*total=*/25,
-                         TrickleProducer::BlockedPolicy::kHintNow);
-    TimedPopper cons("cons", &ch, /*period=*/5);
-    Engine e;
-    e.SetScheduling(s);
-    e.SetThreads(threads);
-    e.AddModule(&prod);
-    e.AddModule(&cons);
-    e.AddStream(&ch);
-    auto cycles = e.Run(100000);
-    EXPECT_TRUE(cycles.ok());
-    r.cycles = cycles.ok() ? *cycles : 0;
-    r.buckets = {BucketsOf(prod), BucketsOf(cons)};
-    return r;
-  };
-  const SimpleRun ref = run(Scheduling::kLevelTick, 1);
-  const SimpleRun event_thr = run(Scheduling::kEventDriven, 4);
-  ExpectSameRun(ref, event_thr, "event-thr4");
 }
 
 TEST(EngineEventTest, SaturatedPhaseStaggeredExitMatchesLegacy) {
@@ -834,15 +807,6 @@ TEST(EngineSchedulingEnvDeathTest, MisspelledEnvironmentFailsAtStartup) {
 // run must reproduce the level-tick run bit-for-bit — elapsed cycles,
 // per-slice outcomes, and result payloads.
 
-struct EngineMode {
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-
-// Rotated through the seed sweep so every (workload, scheduler, mode)
-// triple gets coverage without tripling the runtime.
-constexpr EngineMode kEngineModes[] = {{1, true}, {1, false}, {4, true}};
-
 uint64_t Lcg(uint64_t& state) {
   state = state * 6364136223846793005ull + 1442695040888963407ull;
   return state >> 33;
@@ -915,8 +879,7 @@ struct AnnsRun {
 };
 
 AnnsRun RunAnns(Scheduling sched, uint32_t num_shards, size_t nprobe,
-                size_t k, const std::vector<size_t>& query_idx,
-                EngineMode mode) {
+                size_t k, const std::vector<size_t>& query_idx) {
   const anns::Dataset& data = DiffDataset();
   shard::AnnsTopKWorkload::Config wc;
   wc.nprobe = nprobe;
@@ -926,8 +889,6 @@ AnnsRun RunAnns(Scheduling sched, uint32_t num_shards, size_t nprobe,
   shard::ShardCluster::Config cc;
   cc.num_shards = num_shards;
   shard::ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
   cluster.engine().SetScheduling(sched);
   std::vector<uint64_t> ids;
   for (size_t q : query_idx) {
@@ -953,11 +914,10 @@ TEST(EngineEventDifferentialTest, AnnsTopK100Seeds) {
     const size_t nprobe = 4 + seed % 9;
     const size_t k = 4 + seed % 8;
     const std::vector<size_t> queries = {seed % nq, (seed * 7 + 3) % nq};
-    const EngineMode mode = kEngineModes[seed % 3];
     const AnnsRun ref =
-        RunAnns(Scheduling::kLevelTick, shards, nprobe, k, queries, mode);
+        RunAnns(Scheduling::kLevelTick, shards, nprobe, k, queries);
     const AnnsRun event =
-        RunAnns(Scheduling::kEventDriven, shards, nprobe, k, queries, mode);
+        RunAnns(Scheduling::kEventDriven, shards, nprobe, k, queries);
     const std::string label = "seed " + std::to_string(seed);
     EXPECT_TRUE(event.all_ok) << label;
     EXPECT_EQ(event.cycles, ref.cycles) << label;
@@ -985,7 +945,7 @@ struct KvsRun {
 };
 
 KvsRun RunKvs(Scheduling sched, uint32_t num_shards, uint32_t seed,
-              size_t num_requests, size_t keys_per_req, EngineMode mode) {
+              size_t num_requests, size_t keys_per_req) {
   shard::KvsMultiGetWorkload::Config kc;
   shard::KvsMultiGetWorkload wl(shard::Partitioner::Hash(num_shards), kc);
   uint64_t st = seed * 2654435761ull + 17;
@@ -996,8 +956,6 @@ KvsRun RunKvs(Scheduling sched, uint32_t num_shards, uint32_t seed,
   shard::ShardCluster::Config cc;
   cc.num_shards = num_shards;
   shard::ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
   cluster.engine().SetScheduling(sched);
   std::vector<uint64_t> ids;
   for (size_t r = 0; r < num_requests; ++r) {
@@ -1029,11 +987,9 @@ TEST(EngineEventDifferentialTest, KvsMultiGet100Seeds) {
     const uint32_t shards = 1 + seed % 8;
     const size_t reqs = 2 + seed % 4;
     const size_t keys = 3 + seed % 6;
-    const EngineMode mode = kEngineModes[seed % 3];
-    const KvsRun ref =
-        RunKvs(Scheduling::kLevelTick, shards, seed, reqs, keys, mode);
+    const KvsRun ref = RunKvs(Scheduling::kLevelTick, shards, seed, reqs, keys);
     const KvsRun event =
-        RunKvs(Scheduling::kEventDriven, shards, seed, reqs, keys, mode);
+        RunKvs(Scheduling::kEventDriven, shards, seed, reqs, keys);
     const std::string label = "seed " + std::to_string(seed);
     EXPECT_TRUE(event.all_ok) << label;
     EXPECT_EQ(event.cycles, ref.cycles) << label;
@@ -1069,8 +1025,7 @@ struct JoinRun {
   std::multiset<std::vector<int64_t>> rows;
 };
 
-JoinRun RunJoin(Scheduling sched, uint32_t num_shards, uint32_t seed,
-                EngineMode mode) {
+JoinRun RunJoin(Scheduling sched, uint32_t num_shards, uint32_t seed) {
   rel::Table build(rel::Schema{{{"k"}, {"payload"}}});
   const int64_t nbuild = 40 + seed % 30;
   for (int64_t i = 0; i < nbuild; ++i) {
@@ -1090,8 +1045,6 @@ JoinRun RunJoin(Scheduling sched, uint32_t num_shards, uint32_t seed,
   shard::ShardCluster::Config cc;
   cc.num_shards = num_shards;
   shard::ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
   cluster.engine().SetScheduling(sched);
   cluster.Submit(wl.request_id());
   auto cycles = cluster.Run();
@@ -1110,10 +1063,8 @@ JoinRun RunJoin(Scheduling sched, uint32_t num_shards, uint32_t seed,
 TEST(EngineEventDifferentialTest, HashJoin100Seeds) {
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 1 + seed % 4;
-    const EngineMode mode = kEngineModes[seed % 3];
-    const JoinRun ref = RunJoin(Scheduling::kLevelTick, shards, seed, mode);
-    const JoinRun event =
-        RunJoin(Scheduling::kEventDriven, shards, seed, mode);
+    const JoinRun ref = RunJoin(Scheduling::kLevelTick, shards, seed);
+    const JoinRun event = RunJoin(Scheduling::kEventDriven, shards, seed);
     const std::string label = "seed " + std::to_string(seed);
     EXPECT_TRUE(event.ok) << label;
     EXPECT_FALSE(ref.rows.empty()) << label;

@@ -1,8 +1,8 @@
 // Differential gather-equivalence suite: tree-structured and in-network
 // (switch) aggregation must be *indistinguishable* from flat gather in every
 // functional respect — result payloads bit-identical, PartialOutcome slices
-// identical — across 100 seeded deployments of all three workloads and all
-// engine modes. The gather topology is a pure wire/timing optimization; any
+// identical — across 100 seeded deployments of all three workloads and both
+// schedulers. The gather topology is a pure wire/timing optimization; any
 // observable difference is a bug this suite is designed to catch.
 //
 // Also home to the gather-specific fault-injection tests: a dead interior
@@ -64,15 +64,14 @@ class TestWorkloadForGather : public Workload {
   std::map<uint64_t, PartialOutcome> merged_;
 };
 
-struct EngineMode {
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-
-// Rotated through the seed sweep so every (workload, topology, mode) triple
-// gets coverage without tripling the runtime; the dedicated mode-invariance
-// test below additionally pins bit-identical *cycles* per mode.
-constexpr EngineMode kEngineModes[] = {{1, true}, {1, false}, {8, true}};
+/// Rotated through the seed sweep so every (workload, topology, scheduler)
+/// triple gets coverage without doubling the runtime: every third seed runs
+/// on the every-cycle level-tick reference loop, the rest on the
+/// process-default scheduler. The dedicated invariance tests below
+/// additionally pin bit-identical *cycles* per scheduler.
+sim::Scheduling SchedulingForSeed(uint32_t seed) {
+  return seed % 3 == 1 ? sim::Scheduling::kLevelTick : sim::DefaultScheduling();
+}
 
 struct GatherVariant {
   const char* name;
@@ -206,7 +205,8 @@ struct AnnsRun {
 
 AnnsRun RunAnnsGather(const GatherConfig& gather, uint32_t num_shards,
                       size_t nprobe, size_t k,
-                      const std::vector<size_t>& query_idx, EngineMode mode) {
+                      const std::vector<size_t>& query_idx,
+                      sim::Scheduling scheduling) {
   const anns::Dataset& data = EquivDataset();
   AnnsTopKWorkload::Config wc;
   wc.nprobe = nprobe;
@@ -216,13 +216,7 @@ AnnsRun RunAnnsGather(const GatherConfig& gather, uint32_t num_shards,
   cc.num_shards = num_shards;
   cc.gather = gather;
   ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
-  // Fast-forward off selects the every-cycle level-tick oracle, so the
-  // mode comparison also crosses schedulers.
-  if (!mode.fast_forward) {
-    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
-  }
+  cluster.engine().SetScheduling(scheduling);
   std::vector<uint64_t> ids;
   for (size_t q : query_idx) {
     ids.push_back(wl.AddQuery(data.QueryVector(q)));
@@ -265,11 +259,11 @@ TEST(GatherEquivalenceTest, AnnsTopKIdenticalAcrossTopologies100Seeds) {
     const size_t nprobe = 4 + seed % 9;
     const size_t k = 4 + seed % 8;
     const std::vector<size_t> queries = {seed % nq, (seed * 7 + 3) % nq};
-    const EngineMode mode = kEngineModes[seed % 3];
+    const sim::Scheduling scheduling = SchedulingForSeed(seed);
     AnnsRun ref;
     for (size_t v = 0; v < variants.size(); ++v) {
       AnnsRun run = RunAnnsGather(variants[v].gather, shards, nprobe, k,
-                                  queries, mode);
+                                  queries, scheduling);
       if (v == 0) {
         EXPECT_TRUE(run.all_ok) << "seed " << seed << " reference";
         ref = std::move(run);
@@ -295,7 +289,7 @@ struct KvsRun {
 
 KvsRun RunKvsGather(const GatherConfig& gather, uint32_t num_shards,
                     uint32_t seed, size_t num_requests, size_t keys_per_req,
-                    EngineMode mode) {
+                    sim::Scheduling scheduling) {
   KvsMultiGetWorkload::Config kc;
   KvsMultiGetWorkload wl(Partitioner::Hash(num_shards), kc);
   uint64_t st = seed * 2654435761ull + 17;
@@ -307,13 +301,7 @@ KvsRun RunKvsGather(const GatherConfig& gather, uint32_t num_shards,
   cc.num_shards = num_shards;
   cc.gather = gather;
   ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
-  // Fast-forward off selects the every-cycle level-tick oracle, so the
-  // mode comparison also crosses schedulers.
-  if (!mode.fast_forward) {
-    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
-  }
+  cluster.engine().SetScheduling(scheduling);
   std::vector<uint64_t> ids;
   for (size_t r = 0; r < num_requests; ++r) {
     std::vector<uint64_t> keys;
@@ -343,11 +331,12 @@ TEST(GatherEquivalenceTest, KvsMultiGetIdenticalAcrossTopologies100Seeds) {
   const std::vector<GatherVariant> variants = GatherVariants();
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 1 + seed % 8;
-    const EngineMode mode = kEngineModes[seed % 3];
+    const sim::Scheduling scheduling = SchedulingForSeed(seed);
     KvsRun ref;
     for (size_t v = 0; v < variants.size(); ++v) {
-      KvsRun run = RunKvsGather(variants[v].gather, shards, seed,
-                                /*num_requests=*/2, /*keys_per_req=*/30, mode);
+      KvsRun run =
+          RunKvsGather(variants[v].gather, shards, seed, /*num_requests=*/2,
+                       /*keys_per_req=*/30, scheduling);
       if (v == 0) {
         EXPECT_TRUE(run.all_ok) << "seed " << seed << " reference";
         ref = std::move(run);
@@ -392,7 +381,7 @@ struct JoinRun {
 };
 
 JoinRun RunJoinGather(const GatherConfig& gather, uint32_t num_shards,
-                      uint32_t seed, EngineMode mode) {
+                      uint32_t seed, sim::Scheduling scheduling) {
   rel::Table build(rel::Schema{{{"k"}, {"payload"}}});
   const int64_t nbuild = 40 + seed % 30;
   for (int64_t i = 0; i < nbuild; ++i) {
@@ -412,13 +401,7 @@ JoinRun RunJoinGather(const GatherConfig& gather, uint32_t num_shards,
   cc.num_shards = num_shards;
   cc.gather = gather;
   ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
-  // Fast-forward off selects the every-cycle level-tick oracle, so the
-  // mode comparison also crosses schedulers.
-  if (!mode.fast_forward) {
-    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
-  }
+  cluster.engine().SetScheduling(scheduling);
   cluster.Submit(wl.request_id());
   auto cycles = cluster.Run();
   JoinRun r;
@@ -437,10 +420,10 @@ TEST(GatherEquivalenceTest, HashJoinIdenticalAcrossTopologies100Seeds) {
   const std::vector<GatherVariant> variants = GatherVariants();
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 1 + seed % 4;
-    const EngineMode mode = kEngineModes[seed % 3];
+    const sim::Scheduling scheduling = SchedulingForSeed(seed);
     JoinRun ref;
     for (size_t v = 0; v < variants.size(); ++v) {
-      JoinRun run = RunJoinGather(variants[v].gather, shards, seed, mode);
+      JoinRun run = RunJoinGather(variants[v].gather, shards, seed, scheduling);
       if (v == 0) {
         EXPECT_TRUE(run.ok) << "seed " << seed << " reference";
         EXPECT_FALSE(run.rows.empty()) << "seed " << seed;
@@ -457,31 +440,24 @@ TEST(GatherEquivalenceTest, HashJoinIdenticalAcrossTopologies100Seeds) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-mode invariance: per topology, cycles AND results must be
-// bit-identical under serial, no-fast-forward, and threaded execution.
+// Scheduler invariance: per topology, cycles AND results must be
+// bit-identical under the event scheduler and the level-tick reference.
 
 TEST(GatherEquivalenceTest, CyclesIdenticalAcrossEngineModesPerTopology) {
-  const std::vector<std::pair<uint32_t, bool>> modes = {
-      {1, false}, {8, true}, {8, false}};
   for (const GatherVariant& variant : GatherVariants()) {
     for (uint32_t seed : {0u, 7u}) {
-      const KvsRun base =
-          RunKvsGather(variant.gather, /*num_shards=*/8, seed,
-                       /*num_requests=*/3, /*keys_per_req=*/24, {1, true});
-      EXPECT_GT(base.cycles, 0u) << variant.name;
-      for (const auto& [threads, ff] : modes) {
-        const KvsRun run =
-            RunKvsGather(variant.gather, /*num_shards=*/8, seed,
-                         /*num_requests=*/3, /*keys_per_req=*/24,
-                         {threads, ff});
-        const std::string label = std::string(variant.name) + " seed " +
-                                  std::to_string(seed) + " threads=" +
-                                  std::to_string(threads) +
-                                  (ff ? " ff" : " noff");
-        EXPECT_EQ(run.cycles, base.cycles) << label;
-        EXPECT_EQ(run.outcomes, base.outcomes) << label;
-        EXPECT_EQ(run.results, base.results) << label;
-      }
+      const KvsRun event = RunKvsGather(
+          variant.gather, /*num_shards=*/8, seed, /*num_requests=*/3,
+          /*keys_per_req=*/24, sim::Scheduling::kEventDriven);
+      EXPECT_GT(event.cycles, 0u) << variant.name;
+      const KvsRun tick = RunKvsGather(
+          variant.gather, /*num_shards=*/8, seed, /*num_requests=*/3,
+          /*keys_per_req=*/24, sim::Scheduling::kLevelTick);
+      const std::string label =
+          std::string(variant.name) + " seed " + std::to_string(seed);
+      EXPECT_EQ(tick.cycles, event.cycles) << label;
+      EXPECT_EQ(tick.outcomes, event.outcomes) << label;
+      EXPECT_EQ(tick.results, event.results) << label;
     }
   }
 }
@@ -490,21 +466,14 @@ TEST(GatherEquivalenceTest, AnnsCyclesIdenticalAcrossEngineModes) {
   const std::vector<GatherVariant> variants = GatherVariants();
   for (const GatherVariant& variant : variants) {
     if (variant.gather.topology == GatherTopology::kFlat) continue;
-    const AnnsRun base = RunAnnsGather(variant.gather, /*num_shards=*/6,
-                                       /*nprobe=*/8, /*k=*/10, {0, 3, 5},
-                                       {1, true});
-    EXPECT_GT(base.cycles, 0u) << variant.name;
-    for (const auto& [threads, ff] :
-         std::vector<std::pair<uint32_t, bool>>{{1, false}, {8, true},
-                                                {8, false}}) {
-      const AnnsRun run = RunAnnsGather(variant.gather, 6, 8, 10, {0, 3, 5},
-                                        {threads, ff});
-      const std::string label = std::string(variant.name) + " threads=" +
-                                std::to_string(threads) +
-                                (ff ? " ff" : " noff");
-      EXPECT_EQ(run.cycles, base.cycles) << label;
-      ExpectSameAnns(base, run, label);
-    }
+    const AnnsRun event =
+        RunAnnsGather(variant.gather, /*num_shards=*/6, /*nprobe=*/8,
+                      /*k=*/10, {0, 3, 5}, sim::Scheduling::kEventDriven);
+    EXPECT_GT(event.cycles, 0u) << variant.name;
+    const AnnsRun tick = RunAnnsGather(variant.gather, 6, 8, 10, {0, 3, 5},
+                                       sim::Scheduling::kLevelTick);
+    EXPECT_EQ(tick.cycles, event.cycles) << variant.name;
+    ExpectSameAnns(event, tick, variant.name);
   }
 }
 
@@ -752,6 +721,54 @@ TEST(GatherFaultTest, DeadSwitchPortDegradesItsShardsOnly) {
   EXPECT_EQ(cluster.agg_switch()->dropped_dead_port(), 4u);
   EXPECT_EQ(cluster.agg_switch()->held_responses(), 0u);
   ASSERT_EQ(wl.merged().count(2), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Configuration legality lives in one Status-returning function, so a bad
+// combination from a bench flag is reported instead of aborting inside
+// GatherPlan's constructor.
+
+TEST(GatherValidateTest, ReplicationNeedsFlatGatherAndUnicastScatter) {
+  GatherConfig flat4;
+  flat4.coordinator_ports = 4;
+  EXPECT_TRUE(ValidateGather(GatherConfig{}, 8, 2).ok());
+  EXPECT_TRUE(ValidateGather(flat4, 8, 3).ok());
+  for (GatherTopology t : {GatherTopology::kTree, GatherTopology::kSwitch}) {
+    GatherConfig g;
+    g.topology = t;
+    g.coordinator_ports = 4;
+    EXPECT_TRUE(ValidateGather(g, 8, 1).ok()) << GatherTopologyName(t);
+    const Status st = ValidateGather(g, 8, 2);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << GatherTopologyName(t);
+    EXPECT_NE(st.message().find("replication needs flat gather"),
+              std::string::npos)
+        << st.ToString();
+  }
+  GatherConfig scatter;
+  scatter.scatter = ScatterMode::kTree;
+  EXPECT_TRUE(ValidateGather(scatter, 8, 1).ok());
+  const Status st = ValidateGather(scatter, 8, 2);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unicast scatter"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(GatherValidateTest, RejectsDegenerateShapes) {
+  GatherConfig no_ports;
+  no_ports.coordinator_ports = 0;
+  EXPECT_FALSE(ValidateGather(GatherConfig{}, 0, 1).ok());
+  EXPECT_FALSE(ValidateGather(no_ports, 4, 1).ok());
+  EXPECT_FALSE(ValidateGather(GatherConfig{}, 4, 0).ok());
+  GatherConfig tree;
+  tree.topology = GatherTopology::kTree;
+  tree.fanout = 0;
+  EXPECT_FALSE(ValidateGather(tree, 4, 1).ok());
+  // Merged responses carry 64-bit coverage masks; flat gather has no cap.
+  GatherConfig sw;
+  sw.topology = GatherTopology::kSwitch;
+  EXPECT_TRUE(ValidateGather(sw, 64, 1).ok());
+  EXPECT_FALSE(ValidateGather(sw, 65, 1).ok());
+  EXPECT_TRUE(ValidateGather(GatherConfig{}, 65, 1).ok());
 }
 
 }  // namespace

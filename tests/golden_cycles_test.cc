@@ -1,10 +1,10 @@
 // Golden-cycle lockdown for the simulation engine. Each scenario is a
 // small, fixed configuration of one of the repo's bench workloads; its
 // exact cycle count is recorded in tests/golden/cycles.json and any drift
-// fails the suite. Because the same scenarios are re-run at 8 worker
-// threads and with fast-forward disabled, this file is the proof that the
-// engine's performance modes are pure optimizations: bit-identical cycle
-// counts, only wall-clock changes.
+// fails the suite. Because the same scenarios are re-run under the event
+// scheduler and the every-cycle level-tick reference loop, this file is the
+// proof that the event scheduler is a pure optimization: bit-identical
+// cycle counts, only wall-clock changes.
 //
 // Regenerate the baseline (after an *intentional* timing-model change)
 // with tools/update_goldens.sh, which runs this binary with
@@ -43,40 +43,24 @@
 namespace fpgadp {
 namespace {
 
-struct RunOpts {
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-
-/// Installs the engine-default knobs for the scope of one scenario run, so
+/// Installs the default scheduler for the scope of one scenario run, so
 /// engines constructed deep inside helpers (ExecuteFpga, MicroRec, ACCL)
-/// pick them up exactly like bench_common's --threads / --no-fast-forward.
-/// Fast-forward off also selects the every-cycle level-tick oracle, so the
-/// invariance checks cross schedulers.
-class ScopedEngineDefaults {
+/// pick it up exactly like bench_common's --engine.
+class ScopedScheduling {
  public:
-  explicit ScopedEngineDefaults(const RunOpts& opts)
-      : scheduling_(sim::DefaultScheduling()) {
-    sim::SetDefaultEngineThreads(opts.threads);
-    sim::SetDefaultFastForward(opts.fast_forward);
-    if (!opts.fast_forward) {
-      sim::SetDefaultScheduling(sim::Scheduling::kLevelTick);
-    }
+  explicit ScopedScheduling(sim::Scheduling s)
+      : previous_(sim::DefaultScheduling()) {
+    sim::SetDefaultScheduling(s);
   }
-  ~ScopedEngineDefaults() {
-    sim::SetDefaultEngineThreads(1);
-    sim::SetDefaultFastForward(true);
-    sim::SetDefaultScheduling(scheduling_);
-  }
+  ~ScopedScheduling() { sim::SetDefaultScheduling(previous_); }
 
  private:
-  sim::Scheduling scheduling_;
+  sim::Scheduling previous_;
 };
 
 /// bench_rdma's TimedReads harness at fixed configuration: `count`
 /// pipelined READs of `bytes` each over the loss-free 100 Gbps fabric,
-/// manually Step()-driven (so fast-forward never applies; thread count
-/// still does).
+/// manually Step()-driven, so it always runs the level-tick body.
 uint64_t RdmaReadScenario(int count, uint64_t bytes) {
   net::Fabric fabric("fab", 2, [] {
     net::Fabric::Config c;
@@ -341,8 +325,9 @@ const std::vector<std::string> kScenarios = {
     "shard_anns_scatter_tree",
 };
 
-uint64_t RunScenario(const std::string& name, const RunOpts& opts) {
-  ScopedEngineDefaults defaults(opts);
+uint64_t RunScenario(const std::string& name,
+                     sim::Scheduling scheduling = sim::DefaultScheduling()) {
+  ScopedScheduling scoped(scheduling);
   if (name == "rdma_64x4k") return RdmaReadScenario(64, 4096);
   if (name == "rdma_1x1m") return RdmaReadScenario(1, 1ull << 20);
   if (name == "line_rate_filter") return LineRateFilterScenario();
@@ -413,7 +398,7 @@ void WriteGoldens(const std::map<std::string, uint64_t>& goldens) {
 TEST(GoldenCycles, MatchesBaseline) {
   std::map<std::string, uint64_t> current;
   for (const std::string& name : kScenarios) {
-    current[name] = RunScenario(name, RunOpts{});
+    current[name] = RunScenario(name);
   }
   if (std::getenv("FPGADP_UPDATE_GOLDENS") != nullptr) {
     WriteGoldens(current);
@@ -437,39 +422,18 @@ TEST(GoldenCycles, MatchesBaseline) {
 // asserted here too means a drift is caught by `ctest -L golden` without
 // running any bench binary.
 TEST(GoldenCycles, SeedBuildAnchors) {
-  EXPECT_EQ(RunScenario("rdma_64x4k", RunOpts{}), 4700u);
-  EXPECT_EQ(RunScenario("rdma_1x1m", RunOpts{}), 17191u);
-  EXPECT_EQ(RunScenario("line_rate_filter", RunOpts{}), 100007u);
+  EXPECT_EQ(RunScenario("rdma_64x4k"), 4700u);
+  EXPECT_EQ(RunScenario("rdma_1x1m"), 17191u);
+  EXPECT_EQ(RunScenario("line_rate_filter"), 100007u);
 }
 
-// Parallel tick is a pure optimization: 8 worker threads must reproduce
-// the serial cycle count bit-for-bit on every scenario (engines with
-// uncertified modules fall back to serial internally — still identical).
-TEST(GoldenCycles, ThreadCountInvariant) {
-  for (const std::string& name : kScenarios) {
-    const uint64_t serial = RunScenario(name, RunOpts{1, true});
-    const uint64_t parallel = RunScenario(name, RunOpts{8, true});
-    EXPECT_EQ(serial, parallel) << "scenario " << name;
-  }
-}
-
-// Fast-forward is a pure optimization: disabling it must not change any
-// scenario's cycle count.
+// The event scheduler is a pure optimization: the every-cycle level-tick
+// reference loop must reproduce every scenario's cycle count bit for bit.
 TEST(GoldenCycles, FastForwardInvariant) {
   for (const std::string& name : kScenarios) {
-    const uint64_t ff_on = RunScenario(name, RunOpts{1, true});
-    const uint64_t ff_off = RunScenario(name, RunOpts{1, false});
-    EXPECT_EQ(ff_on, ff_off) << "scenario " << name;
-  }
-}
-
-// Both modes at once, the configuration bench binaries run under
-// `--threads=8` on a loss-free fabric.
-TEST(GoldenCycles, CombinedModesInvariant) {
-  for (const std::string& name : kScenarios) {
-    const uint64_t base = RunScenario(name, RunOpts{1, true});
-    const uint64_t both = RunScenario(name, RunOpts{8, false});
-    EXPECT_EQ(base, both) << "scenario " << name;
+    const uint64_t event = RunScenario(name, sim::Scheduling::kEventDriven);
+    const uint64_t tick = RunScenario(name, sim::Scheduling::kLevelTick);
+    EXPECT_EQ(event, tick) << "scenario " << name;
   }
 }
 

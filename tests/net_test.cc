@@ -198,8 +198,7 @@ TEST(RdmaTest, ManyOutstandingReadsPipeline) {
 // contributions the fabric acks on the control lane), and injected drops,
 // duplicates, delay spikes and a link flap — must leave every port's
 // tx/rx busy cycles, the delivery totals, and each port's delivery sequence
-// identical under the every-cycle tick loop, tick with fast-forward, and
-// the event scheduler.
+// identical under the every-cycle tick loop and the event scheduler.
 
 constexpr uint32_t kDiffNodes = 6;
 constexpr uint32_t kIncastPort = kDiffNodes - 1;
@@ -285,8 +284,7 @@ struct FabricRunState {
   uint64_t combines = 0, releases = 0, duplicates = 0, delays = 0;
 };
 
-FabricRunState RunSeededFabric(uint64_t seed, sim::Scheduling scheduling,
-                               bool fast_forward) {
+FabricRunState RunSeededFabric(uint64_t seed, sim::Scheduling scheduling) {
   Fabric fab("fab", kDiffNodes, TestConfig());
   FaultInjector::Config fc;
   fc.seed = seed;
@@ -323,8 +321,8 @@ FabricRunState RunSeededFabric(uint64_t seed, sim::Scheduling scheduling,
   for (uint32_t n = 0; n < kDiffNodes; ++n) {
     std::vector<std::pair<sim::Cycle, Packet>> sched;
     sim::Cycle t = 0;
-    // Bursts separated by idle gaps, so both fast-forward and the event
-    // scheduler get cycles to skip.
+    // Bursts separated by idle gaps, so the event scheduler gets cycles to
+    // skip.
     for (int burst = 0; burst < 6; ++burst) {
       t += 200 + rng.NextBounded(1200);
       const uint64_t len = 1 + rng.NextBounded(40);
@@ -376,7 +374,6 @@ FabricRunState RunSeededFabric(uint64_t seed, sim::Scheduling scheduling,
 
   sim::Engine e;
   e.SetScheduling(scheduling);
-  e.SetFastForward(fast_forward);
   for (auto& s : senders) e.AddModule(s.get());
   fab.RegisterWith(e);
   for (auto& r : receivers) e.AddModule(r.get());
@@ -423,13 +420,10 @@ TEST(FabricTest, PortAccountingAndDeliveryMatchAcrossSchedulers) {
   uint64_t releases = 0, duplicates = 0, delays = 0, dropped = 0;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const FabricRunState oracle =
-        RunSeededFabric(seed, sim::Scheduling::kLevelTick, false);
-    const FabricRunState tick_ff =
-        RunSeededFabric(seed, sim::Scheduling::kLevelTick, true);
+        RunSeededFabric(seed, sim::Scheduling::kLevelTick);
     const FabricRunState event =
-        RunSeededFabric(seed, sim::Scheduling::kEventDriven, true);
+        RunSeededFabric(seed, sim::Scheduling::kEventDriven);
     const std::string tag = "seed " + std::to_string(seed);
-    ExpectSameFabricRun(oracle, tick_ff, tag + " tick+ff");
     ExpectSameFabricRun(oracle, event, tag + " event");
     releases += oracle.releases;
     duplicates += oracle.duplicates;

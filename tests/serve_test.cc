@@ -323,7 +323,7 @@ struct DoorRun {
 };
 
 DoorRun RunDoor(shard::AdmissionPolicy policy, ArrivalKind kind, double rho,
-                uint32_t threads, bool fast_forward) {
+                sim::Scheduling scheduling = sim::DefaultScheduling()) {
   SyntheticWorkload::Config wc;
   wc.num_shards = 2;
   SyntheticWorkload wl(wc);
@@ -345,13 +345,7 @@ DoorRun RunDoor(shard::AdmissionPolicy policy, ArrivalKind kind, double rho,
       "door", &cluster.coordinator(), &wl,
       [&wl](uint32_t, size_t) { return wl.AddRequest(200); }, fd);
   cluster.engine().AddModule(&door);
-  cluster.engine().SetThreads(threads);
-  cluster.engine().SetFastForward(fast_forward);
-  // Fast-forward off selects the every-cycle level-tick oracle, so the
-  // mode comparison also crosses schedulers.
-  if (!fast_forward) {
-    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
-  }
+  cluster.engine().SetScheduling(scheduling);
 
   auto cycles = cluster.Run();
   EXPECT_TRUE(cycles.ok());
@@ -368,7 +362,7 @@ DoorRun RunDoor(shard::AdmissionPolicy policy, ArrivalKind kind, double rho,
 
 TEST(FrontDoorTest, OpenLoopServesEveryRequestUnderLightLoad) {
   const DoorRun r = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
-                            ArrivalKind::kPoisson, 0.4, 1, true);
+                            ArrivalKind::kPoisson, 0.4);
   EXPECT_EQ(r.completed, 300u);
   EXPECT_EQ(r.shed, 0u);
   EXPECT_EQ(r.count, 300u);  // one latency sample per completion
@@ -378,7 +372,7 @@ TEST(FrontDoorTest, OpenLoopServesEveryRequestUnderLightLoad) {
 
 TEST(FrontDoorTest, OverloadShedsUnderFeasibilityButHoldsTheSlo) {
   const DoorRun r = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
-                            ArrivalKind::kPoisson, 2.0, 1, true);
+                            ArrivalKind::kPoisson, 2.0);
   EXPECT_GT(r.shed, 0u);
   EXPECT_EQ(r.completed + r.shed, 300u);
   EXPECT_LE(r.p99, 4000u);  // served requests stay inside the budget
@@ -386,7 +380,7 @@ TEST(FrontDoorTest, OverloadShedsUnderFeasibilityButHoldsTheSlo) {
 
 TEST(FrontDoorTest, ClosedLoopCompletesEverythingWithoutShedding) {
   const DoorRun r = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
-                            ArrivalKind::kClosedLoop, 1.0, 1, true);
+                            ArrivalKind::kClosedLoop, 1.0);
   EXPECT_EQ(r.completed, 300u);
   EXPECT_EQ(r.shed, 0u);
 }
@@ -394,20 +388,16 @@ TEST(FrontDoorTest, ClosedLoopCompletesEverythingWithoutShedding) {
 TEST(FrontDoorTest, ResultsAreBitIdenticalAcrossEngineModes) {
   for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kBursty,
                            ArrivalKind::kClosedLoop}) {
-    const DoorRun serial = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
-                                   kind, 1.5, 1, true);
-    const DoorRun noff = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
-                                 kind, 1.5, 1, false);
-    const DoorRun thr = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
-                                kind, 1.5, 4, true);
-    for (const DoorRun* other : {&noff, &thr}) {
-      EXPECT_EQ(serial.cycles, other->cycles);
-      EXPECT_EQ(serial.completed, other->completed);
-      EXPECT_EQ(serial.shed, other->shed);
-      EXPECT_EQ(serial.p99, other->p99);
-      EXPECT_EQ(serial.count, other->count);
-      EXPECT_EQ(serial.sum, other->sum);
-    }
+    const DoorRun tick = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
+                                 kind, 1.5, sim::Scheduling::kLevelTick);
+    const DoorRun event = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
+                                  kind, 1.5, sim::Scheduling::kEventDriven);
+    EXPECT_EQ(tick.cycles, event.cycles);
+    EXPECT_EQ(tick.completed, event.completed);
+    EXPECT_EQ(tick.shed, event.shed);
+    EXPECT_EQ(tick.p99, event.p99);
+    EXPECT_EQ(tick.count, event.count);
+    EXPECT_EQ(tick.sum, event.sum);
   }
 }
 

@@ -366,7 +366,8 @@ TEST(ShardFailureTest, OverloadedShardShedsInsteadOfStalling) {
 
 // ---------------------------------------------------------------------------
 // Engine-mode invariance: the same deployment must report bit-identical
-// cycles and results under serial, threaded, and no-fast-forward execution.
+// cycles and results under the event scheduler and the level-tick
+// reference loop.
 
 struct ModeRun {
   sim::Cycle cycles = 0;
@@ -375,8 +376,8 @@ struct ModeRun {
 };
 
 ModeRun RunAnnsCluster(const anns::Dataset& data,
-                       const anns::IvfPqIndex& index, uint32_t threads,
-                       bool fast_forward) {
+                       const anns::IvfPqIndex& index,
+                       sim::Scheduling scheduling) {
   AnnsTopKWorkload::Config wc;
   wc.nprobe = 8;
   wc.k = 10;
@@ -384,13 +385,7 @@ ModeRun RunAnnsCluster(const anns::Dataset& data,
   ShardCluster::Config cc;
   cc.num_shards = 4;
   ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(threads);
-  cluster.engine().SetFastForward(fast_forward);
-  // Fast-forward off selects the every-cycle level-tick oracle, so the
-  // mode comparison also crosses schedulers.
-  if (!fast_forward) {
-    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
-  }
+  cluster.engine().SetScheduling(scheduling);
   std::vector<uint64_t> ids;
   for (size_t q = 0; q < data.num_queries(); ++q) {
     ids.push_back(wl.AddQuery(data.QueryVector(q)));
@@ -408,20 +403,15 @@ ModeRun RunAnnsCluster(const anns::Dataset& data,
 TEST(ShardDeterminismTest, CyclesIdenticalAcrossEngineModes) {
   const anns::Dataset data = ShardDataset();
   const anns::IvfPqIndex index = BuildShardIndex(data);
-  const ModeRun base = RunAnnsCluster(data, index, 1, true);
+  const ModeRun base =
+      RunAnnsCluster(data, index, sim::Scheduling::kEventDriven);
   EXPECT_GT(base.cycles, 0u);
-  for (const auto& [threads, ff] :
-       std::vector<std::pair<uint32_t, bool>>{{1, false}, {8, true},
-                                              {8, false}}) {
-    const ModeRun run = RunAnnsCluster(data, index, threads, ff);
-    EXPECT_EQ(run.cycles, base.cycles)
-        << "threads=" << threads << " ff=" << ff;
-    EXPECT_EQ(run.stall_cycles, base.stall_cycles)
-        << "threads=" << threads << " ff=" << ff;
-    ASSERT_EQ(run.first_result.size(), base.first_result.size());
-    for (size_t i = 0; i < run.first_result.size(); ++i) {
-      EXPECT_EQ(run.first_result[i].id, base.first_result[i].id);
-    }
+  const ModeRun tick = RunAnnsCluster(data, index, sim::Scheduling::kLevelTick);
+  EXPECT_EQ(tick.cycles, base.cycles);
+  EXPECT_EQ(tick.stall_cycles, base.stall_cycles);
+  ASSERT_EQ(tick.first_result.size(), base.first_result.size());
+  for (size_t i = 0; i < tick.first_result.size(); ++i) {
+    EXPECT_EQ(tick.first_result[i].id, base.first_result[i].id);
   }
 }
 
@@ -522,13 +512,13 @@ TEST(PartitionerTest, MoveRangeSplitsAndCoalescesSegments) {
 // ---------------------------------------------------------------------------
 // Failover differential: a replicated cluster that loses a primary mid-run
 // must deliver results id-identical to a fault-free run — across all three
-// workloads and every engine mode (mirrors gather_equivalence_test.cc).
+// workloads and both schedulers (mirrors gather_equivalence_test.cc).
 
-struct EngineMode {
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-constexpr EngineMode kEngineModes[] = {{1, true}, {1, false}, {8, true}};
+/// Every third seed runs on the every-cycle level-tick reference loop, the
+/// rest on the process-default scheduler.
+sim::Scheduling SchedulingForSeed(uint32_t seed) {
+  return seed % 3 == 1 ? sim::Scheduling::kLevelTick : sim::DefaultScheduling();
+}
 
 uint64_t Lcg(uint64_t& state) {
   state = state * 6364136223846793005ull + 1442695040888963407ull;
@@ -539,7 +529,7 @@ struct FailoverPlan {
   bool inject = false;       ///< false = fault-free reference run.
   uint32_t victim_shard = 0; ///< Primary to kill (both link directions).
   sim::Cycle death_cycle = 0;
-  EngineMode mode;
+  sim::Scheduling scheduling = sim::DefaultScheduling();
 };
 
 ShardCluster::Config ElasticConfig(uint32_t num_shards, bool replicated) {
@@ -568,13 +558,7 @@ std::vector<PartialOutcome> RunWithFailover(Workload* wl,
                                             uint64_t* failovers) {
   ShardCluster::Config cc = ElasticConfig(num_shards, fp.inject);
   ShardCluster cluster(wl, cc);
-  cluster.engine().SetThreads(fp.mode.threads);
-  cluster.engine().SetFastForward(fp.mode.fast_forward);
-  // Fast-forward off selects the every-cycle level-tick oracle, so the
-  // mode comparison also crosses schedulers.
-  if (!fp.mode.fast_forward) {
-    cluster.engine().SetScheduling(sim::Scheduling::kLevelTick);
-  }
+  cluster.engine().SetScheduling(fp.scheduling);
   net::FaultInjector::Config fc;
   fc.flap_down_cycles = 1u << 30;  // the node never comes back
   net::FaultInjector injector(fc);
@@ -612,7 +596,7 @@ TEST(FailoverEquivalenceTest, AnnsIdenticalWithDeadPrimary100Seeds) {
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 2 + seed % 7;
     FailoverPlan fp;
-    fp.mode = kEngineModes[seed % 3];
+    fp.scheduling = SchedulingForSeed(seed);
     const std::vector<size_t> queries = {seed % data.num_queries(),
                                          (seed * 7 + 3) % data.num_queries()};
 
@@ -659,7 +643,7 @@ TEST(FailoverEquivalenceTest, KvsIdenticalWithDeadPrimary100Seeds) {
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 2 + seed % 7;
     FailoverPlan fp;
-    fp.mode = kEngineModes[seed % 3];
+    fp.scheduling = SchedulingForSeed(seed);
     std::vector<std::vector<uint64_t>> batches(2);
     for (auto& batch : batches) {
       for (size_t i = 0; i < 24; ++i) batch.push_back(Lcg(rng) % 4096);
@@ -724,7 +708,7 @@ TEST(FailoverEquivalenceTest, HashJoinIdenticalWithDeadPrimary100Seeds) {
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 2 + seed % 5;
     FailoverPlan fp;
-    fp.mode = kEngineModes[seed % 3];
+    fp.scheduling = SchedulingForSeed(seed);
 
     HashJoinWorkload ref_wl(&build, &probe, spec, Partitioner::Hash(shards),
                             jc);

@@ -18,7 +18,8 @@
 # default scheduler is the event-driven core, so those two tiers then run
 # AGAIN under FPGADP_ENGINE=tick (reported as e.g. "default:golden-tick"):
 # every golden baseline and chaos recovery timeline must be bit-identical
-# under the level-tick reference loop, on both presets — the sanitizer pass
+# under the level-tick reference loop (every module ticks every cycle,
+# nothing is skipped), on both presets — the sanitizer pass
 # also exercises the event core's arming DCHECKs, which are compiled out of
 # the default build. The
 # perf tier runs on the default preset only — sanitizer timings are not
