@@ -10,10 +10,30 @@
 
 namespace fpgadp::bench {
 
-Session::Session(int argc, char** argv)
+namespace {
+
+/// True when `arg` is one of `flags` (see Session for the spelling).
+bool IsBenchFlag(const std::string& arg,
+                 const std::vector<std::string>& flags) {
+  for (const std::string& f : flags) {
+    if (!f.empty() && (f.back() == '=' || f.back() == '*')) {
+      const size_t n = f.back() == '*' ? f.size() - 1 : f.size();
+      if (arg.compare(0, n, f, 0, n) == 0) return true;
+    } else if (arg == f) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+Session::Session(int argc, char** argv,
+                 const std::vector<std::string>& bench_flags)
     : start_(std::chrono::steady_clock::now()) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    if (IsBenchFlag(arg, bench_flags)) continue;
     if (std::strncmp(arg, "--trace=", 8) == 0) {
       trace_path_ = arg + 8;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
@@ -30,6 +50,9 @@ Session::Session(int argc, char** argv)
       event_engine_ =
           sim::SchedulingFromEnv(arg + 9) == sim::Scheduling::kEventDriven;
       engine_flag_seen_ = true;
+    } else {
+      std::cerr << "unknown flag: " << arg << "\n";
+      std::exit(2);
     }
   }
   if (!trace_path_.empty()) {

@@ -16,11 +16,15 @@ namespace fpgadp::bench {
 /// top of main():
 ///
 ///   int main(int argc, char** argv) {
-///     fpgadp::bench::Session session(argc, argv);
+///     fpgadp::bench::Session session(argc, argv, {"--smoke", "--gather="});
 ///     ...
 ///   }
 ///
-/// Flags (unknown flags are ignored so benches can add their own):
+/// The list names the flags the bench parses itself: "--name" for a
+/// switch, "--name=" for a valued flag (matched as a prefix), and a
+/// trailing '*' matches any suffix. Every other argument is refused — the
+/// session names it and exits 2 — so a misspelled or retired flag never
+/// runs a bench that silently ignores it. The session's own flags:
 ///   --trace=<file>   Record every simulated engine run as Chrome
 ///                    trace_event JSON; open in chrome://tracing or
 ///                    https://ui.perfetto.dev. Module-busy spans, stream
@@ -53,7 +57,8 @@ namespace fpgadp::bench {
 /// Session must outlive all engine runs (declare it first in main).
 class Session {
  public:
-  Session(int argc, char** argv);
+  Session(int argc, char** argv,
+          const std::vector<std::string>& bench_flags = {});
   ~Session();
 
   Session(const Session&) = delete;

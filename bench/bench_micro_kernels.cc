@@ -142,7 +142,7 @@ BENCHMARK(BM_SimulatorStep);
 }  // namespace fpgadp
 
 int main(int argc, char** argv) {
-  fpgadp::bench::Session session(argc, argv);
+  fpgadp::bench::Session session(argc, argv, {"--benchmark_*"});
   ::benchmark::Initialize(&argc, argv);  // leaves --trace/--metrics alone
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();

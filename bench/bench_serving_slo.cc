@@ -27,7 +27,7 @@
 // Flags: --smoke, --gather=<flat|tree|switch|auto> (default flat; tree and
 // switch route gathers through the hierarchical response path of
 // src/shard/gather.h — with fanout-1 requests the tree is degenerate, so
-// this mostly exercises the merged-form wire protocol under load; auto
+// this mostly exercises the gather reply protocol under load; auto
 // hands the choice to the cost-model picker in src/shard/topology_planner.h,
 // fed by a short probe run's estimators), plus the bench_common set.
 //
@@ -36,7 +36,9 @@
 // overhead), and an R=2 run where shard 1's primary permanently loses its
 // links mid-run — asserting exactly one promotion, zero degraded results,
 // and tail recovery within the documented budget. Emits
-// BENCH_failover.json.
+// BENCH_failover.json. Replication needs flat gather: any other --gather=
+// exits 2 naming the legal one. Every flag is validated before a JSON
+// file is written.
 
 #include <cstdio>
 #include <cstring>
@@ -426,7 +428,7 @@ int RunFailoverSweep(bench::Session& session, bool smoke,
 
 int main(int argc, char** argv) {
   using namespace fpgadp;
-  bench::Session session(argc, argv);
+  bench::Session session(argc, argv, {"--smoke", "--failover", "--gather="});
   bool smoke = false;
   bool failover = false;
   std::string gather_flag = "flat";
@@ -435,26 +437,44 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--failover") == 0) failover = true;
     if (std::strncmp(argv[i], "--gather=", 9) == 0) gather_flag = argv[i] + 9;
   }
-  session.SetDefaultJsonPath(failover ? "BENCH_failover.json"
-                                      : "BENCH_serving_slo.json");
-  if (failover) {
-    return RunFailoverSweep(session, smoke, PurityModes());
-  }
+  // Every flag is validated before the default JSON path is installed, so
+  // a rejected run never overwrites a committed baseline with zero rows.
   shard::GatherConfig gather;
-  if (gather_flag == "auto") {
-    std::string rationale;
-    gather = PlanAutoServing(&rationale);
-    std::cout << "[auto] serving mix -> " << rationale << "\n";
-  } else if (!shard::ParseGatherTopology(gather_flag, &gather.topology)) {
+  if (gather_flag != "auto" &&
+      !shard::ParseGatherTopology(gather_flag, &gather.topology)) {
     std::cerr << "FAIL: unknown --gather=" << gather_flag
               << " (want flat|tree|switch|auto)\n";
-    return 1;
-  } else if (gather.topology != shard::GatherTopology::kFlat) {
+    if (failover) std::cerr << "  legal gathers for --replication=2: flat\n";
+    return 2;
+  }
+  if (gather.topology != shard::GatherTopology::kFlat) {
     gather.coordinator_ports = 2;
     // Lossy sweeps run under this config too: a lost child contribution
     // must not wedge its tree ancestors past the gather deadline.
     gather.merge_timeout_cycles = 4000;
   }
+  if (failover) {
+    // The failover sweep replicates every shard (R=2), which only the flat
+    // gather supports.
+    const Status legal =
+        gather_flag == "auto"
+            ? Status::InvalidArgument(
+                  "auto gather may pick a topology replication cannot run")
+            : shard::ValidateGather(gather, kShards, 2);
+    if (!legal.ok()) {
+      std::cerr << "FAIL: --failover --gather=" << gather_flag << ": "
+                << legal << "\n  legal gathers for --replication=2: flat\n";
+      return 2;
+    }
+    session.SetDefaultJsonPath("BENCH_failover.json");
+    return RunFailoverSweep(session, smoke, PurityModes());
+  }
+  if (gather_flag == "auto") {
+    std::string rationale;
+    gather = PlanAutoServing(&rationale);
+    std::cout << "[auto] serving mix -> " << rationale << "\n";
+  }
+  session.SetDefaultJsonPath("BENCH_serving_slo.json");
 
   const size_t num_requests = smoke ? 500 : 2000;
   const std::vector<double> loads =

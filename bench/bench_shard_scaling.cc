@@ -332,7 +332,8 @@ bool GatherFlagLegal(const std::vector<std::string>& gathers,
 
 int main(int argc, char** argv) {
   using namespace fpgadp;
-  bench::Session session(argc, argv);
+  bench::Session session(argc, argv,
+                         {"--smoke", "--gather=", "--replication="});
   bool smoke = false;
   std::string gather_flag = "all";
   uint32_t replication = 1;

@@ -377,7 +377,7 @@ bool CheckGoldenFilter() {
 
 int main(int argc, char** argv) {
   using namespace fpgadp;
-  bench::Session session(argc, argv);
+  bench::Session session(argc, argv, {"--smoke"});
   session.SetDefaultJsonPath("BENCH_sim_throughput.json");
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {

@@ -13,13 +13,13 @@ AggregatingSwitch::AggregatingSwitch(const Config& config, MergeSizer sizer)
 }
 
 void AggregatingSwitch::Arm(uint64_t request_id, uint32_t port,
-                            uint64_t member_mask) {
-  FPGADP_CHECK(member_mask != 0);
+                            uint32_t members) {
+  FPGADP_CHECK(members != 0);
   const auto key = std::make_pair(request_id, port);
   FPGADP_CHECK(groups_.find(key) == groups_.end());
   Group g;
-  g.member_mask = member_mask;
-  groups_.emplace(key, g);
+  g.members = members;
+  groups_.emplace(key, std::move(g));
 }
 
 void AggregatingSwitch::Disarm(uint64_t request_id) {
@@ -59,15 +59,19 @@ std::optional<AggregatingSwitch::Released> AggregatingSwitch::Offer(
     return std::nullopt;
   }
   Group& g = it->second;
-  const uint64_t contrib = (p.addr | p.user2) & g.member_mask;
-  if (contrib == 0 ||
-      (contrib & (g.done_mask | g.rejected_mask)) == contrib) {
+  const auto folded = [&g](const GatherReply::Entry& e) {
+    const auto have = g.reply.entries();
+    return std::any_of(have.begin(), have.end(),
+                       [&e](const GatherReply::Entry& h) {
+                         return h.tag == e.tag;
+                       });
+  };
+  const auto entries = p.reply.entries();
+  if (std::all_of(entries.begin(), entries.end(), folded)) {
     ++duplicates_ignored_;  // lossy retransmit already folded in
     return std::nullopt;
   }
-  g.done_mask |= p.addr & g.member_mask;
-  g.rejected_mask |= p.user2 & g.member_mask;
-  g.concat_bytes += p.bytes;
+  g.reply.Fold(p.reply, p.bytes);
   ++g.absorbed;
   ++held_;
   ++combines_;
@@ -75,19 +79,18 @@ std::optional<AggregatingSwitch::Released> AggregatingSwitch::Offer(
   // combine_cycles_per_resp once the response is inside the switch.
   g.combine_free =
       std::max(g.combine_free, at) + config_.combine_cycles_per_resp;
-  if ((g.done_mask | g.rejected_mask) != g.member_mask) return std::nullopt;
+  if (g.reply.size() < g.members) return std::nullopt;
   Released rel;
   rel.ready_at = g.combine_free;
   rel.packet.src = p.src;  // the last contributor; upper layers ignore it
   rel.packet.dst = p.dst;
   rel.packet.kind = OpKind::kOffloadResp;
   rel.packet.user = it->first.first;
-  rel.packet.addr = g.done_mask;
-  rel.packet.user2 = g.rejected_mask;
-  rel.packet.bytes = sizer_(it->first.first, g.done_mask, g.concat_bytes);
+  rel.packet.bytes = sizer_(it->first.first, g.reply);
   // seq stays 0: the merged packet is switch-originated and unsequenced.
-  FPGADP_CHECK(rel.packet.bytes <= g.concat_bytes);
-  bytes_elided_ += g.concat_bytes - rel.packet.bytes;
+  FPGADP_CHECK(rel.packet.bytes <= g.reply.concat_bytes());
+  bytes_elided_ += g.reply.concat_bytes() - rel.packet.bytes;
+  rel.packet.reply = std::move(g.reply);
   held_ -= g.absorbed;
   ++releases_;
   groups_.erase(it);

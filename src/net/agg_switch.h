@@ -31,14 +31,16 @@ namespace fpgadp::net {
 /// coordinator Tick is safe because every engine ticks its modules one at
 /// a time, in registration order (see sim::Engine).
 ///
-/// Wire protocol: the switch combines kOffloadResp packets in merged form —
-/// `user` = request id, `addr` = done-shard mask, `user2` = rejected-shard
-/// mask, `bytes` = payload. A group completes when the union of its
-/// contributions' masks covers the armed member mask; duplicates (lossy
-/// retransmits) are mask-idempotent. On a lossy fabric the fabric
-/// acknowledges absorbed sequenced packets on the combiner's behalf and the
-/// merged packet travels unsequenced (seq 0) — the protocol terminates at
-/// the switch, exactly like a real SmartSwitch offload.
+/// Wire protocol: the switch combines kOffloadResp packets by their gather
+/// reply record (Packet::reply, keyed by `user` = request id): it folds
+/// every contribution's entries and payload into one record and releases
+/// it when the record covers the group's armed member count — the same
+/// record a tree-gather interior shard forwards, so the coordinator reads
+/// both alike. A contribution whose slices (by tag) are all folded in
+/// already is a lossy retransmit and is ignored. On a lossy fabric the
+/// fabric acknowledges absorbed sequenced packets on the combiner's behalf
+/// and the merged packet travels unsequenced (seq 0) — the protocol
+/// terminates at the switch, exactly like a real SmartSwitch offload.
 class AggregatingSwitch {
  public:
   struct Config {
@@ -46,19 +48,20 @@ class AggregatingSwitch {
     uint64_t combine_cycles_per_resp = 8;
   };
 
-  /// Computes the merged payload size: (request_id, done_mask,
-  /// concatenated_bytes) -> wire bytes. Runs inside Fabric::Tick, so it
-  /// must be functional-only (shard::Workload::MergedBytes qualifies).
-  using MergeSizer = std::function<uint64_t(uint64_t, uint64_t, uint64_t)>;
+  /// Computes the merged payload size of a completed group: (request_id,
+  /// folded reply record) -> wire bytes, at most the record's
+  /// concat_bytes(). Runs inside Fabric::Tick, so it must be
+  /// functional-only (shard::Workload::MergedBytes qualifies).
+  using MergeSizer = std::function<uint64_t(uint64_t, const GatherReply&)>;
 
   AggregatingSwitch(const Config& config, MergeSizer sizer);
 
   // --- control plane (the gather owner) ---
 
   /// Opens the combine group for `request_id`'s responses arriving at
-  /// fabric node `port`; the group completes when the contributions' masks
-  /// cover `member_mask`.
-  void Arm(uint64_t request_id, uint32_t port, uint64_t member_mask);
+  /// fabric node `port`; the group completes when its folded record holds
+  /// `members` entries (one per participating slice).
+  void Arm(uint64_t request_id, uint32_t port, uint32_t members);
   /// Closes every group of `request_id` (gather finalized); held partial
   /// contributions are discarded.
   void Disarm(uint64_t request_id);
@@ -97,10 +100,8 @@ class AggregatingSwitch {
 
  private:
   struct Group {
-    uint64_t member_mask = 0;
-    uint64_t done_mask = 0;
-    uint64_t rejected_mask = 0;
-    uint64_t concat_bytes = 0;
+    uint32_t members = 0;
+    GatherReply reply;  ///< Everything folded in so far.
     uint32_t absorbed = 0;
     sim::Cycle combine_free = 0;  ///< The combiner pipeline's busy horizon.
   };

@@ -12,6 +12,37 @@
 
 namespace fpgadp::net {
 
+/// Released records, kept with their entry capacity for reuse. Per
+/// thread, like every engine's ticking.
+std::vector<std::unique_ptr<GatherReply::Record>>& GatherReply::Pool() {
+  thread_local std::vector<std::unique_ptr<Record>> pool;
+  return pool;
+}
+
+GatherReply::Record& GatherReply::Own() {
+  if (rec_ != nullptr && rec_->refs == 1) return *rec_;
+  std::vector<std::unique_ptr<Record>>& pool = Pool();
+  Record* r = pool.empty() ? new Record : pool.back().release();
+  if (!pool.empty()) pool.pop_back();
+  r->refs = 1;
+  if (rec_ != nullptr) {
+    r->entries = rec_->entries;
+    r->concat_bytes = rec_->concat_bytes;
+    Release();
+  }
+  rec_ = r;
+  return *r;
+}
+
+void GatherReply::Release() {
+  if (rec_ != nullptr && --rec_->refs == 0) {
+    rec_->entries.clear();
+    rec_->concat_bytes = 0;
+    Pool().emplace_back(rec_);
+  }
+  rec_ = nullptr;
+}
+
 const char* FaultKindName(FaultKind kind) {
   switch (kind) {
     case FaultKind::kDrop: return "drop";
@@ -141,7 +172,7 @@ sim::Cycle Fabric::NextEventCycle(sim::Cycle now) const {
 
 void Fabric::AttributeSkip(sim::Cycle from, sim::Cycle to) {
   // The ports' busy cycles over the skipped window follow in closed form
-  // from their free cycles (see Serializer), so extending the window is all
+  // from their reserved runs (see Serializer), so extending the window is all
   // the per-port accounting a skip needs.
   Cover(from);
   covered_to_ = to;
@@ -153,19 +184,26 @@ void Fabric::AttributeSkip(sim::Cycle from, sim::Cycle to) {
 
 void Fabric::Cover(sim::Cycle from) {
   if (from == covered_to_) return;
+  // A gap: its cycles are never covered, so they are never busy either.
   for (Port& p : ports_) {
     for (Serializer* s : {&p.tx, &p.rx}) {
-      s->busy = Busy(*s);
-      s->from = from;
+      s->reserved -= RunCycles(*s, covered_to_, from);
     }
   }
   covered_to_ = from;
 }
 
-void Fabric::SetFree(Serializer& s, sim::Cycle free_at) {
-  s.busy = Busy(s);
-  s.from = covered_to_;
-  s.free = free_at;
+void Fabric::Reserve(Serializer& s, sim::Cycle start, sim::Cycle end) {
+  size_t past = 0;
+  while (past < s.runs.size() && s.runs[past].second <= covered_to_) ++past;
+  s.runs.erase(s.runs.begin(), s.runs.begin() + past);
+  if (!s.runs.empty() && start <= s.runs.back().second) {
+    s.runs.back().second = end;
+  } else {
+    s.runs.emplace_back(start, end);
+  }
+  s.reserved += end - start;
+  s.free = end;
 }
 
 void Fabric::Arrive(uint32_t node, sim::Cycle at, const Packet& packet) {
@@ -219,7 +257,7 @@ void Fabric::Tick(sim::Cycle cycle) {
         const sim::Cycle tx_start =
             control ? cycle + 1
                     : std::max<sim::Cycle>(cycle + 1, ports_[n].tx.free);
-        if (!control) SetFree(ports_[n].tx, tx_start + ser);
+        if (!control) Reserve(ports_[n].tx, tx_start, tx_start + ser);
         // Fault injection point: the packet has left the sender NIC (tx
         // serialization is already paid) and is inside the switch.
         uint64_t extra_delay = 0;
@@ -270,11 +308,10 @@ void Fabric::Tick(sim::Cycle cycle) {
             auto released = agg_switch_->Offer(at_switch, p);
             if (!released.has_value()) continue;
             const Packet& m = released->packet;
-            const sim::Cycle mrx_end =
-                std::max<sim::Cycle>(released->ready_at,
-                                     ports_[m.dst].rx.free) +
-                SerializationCycles(m.bytes);
-            SetFree(ports_[m.dst].rx, mrx_end);
+            const sim::Cycle mrx_start = std::max<sim::Cycle>(
+                released->ready_at, ports_[m.dst].rx.free);
+            const sim::Cycle mrx_end = mrx_start + SerializationCycles(m.bytes);
+            Reserve(ports_[m.dst].rx, mrx_start, mrx_end);
             Arrive(m.dst, mrx_end, m);
           }
           continue;
@@ -288,7 +325,7 @@ void Fabric::Tick(sim::Cycle cycle) {
                     : std::max<sim::Cycle>(tx_start + wire_latency_cycles_,
                                            ports_[p.dst].rx.free);
         const sim::Cycle rx_end = rx_start + ser;
-        if (!control) SetFree(ports_[p.dst].rx, rx_end);
+        if (!control) Reserve(ports_[p.dst].rx, rx_start, rx_end);
         // A delay spike holds the packet in switch buffering after the port:
         // it does not occupy the receive port meanwhile, so later packets
         // overtake it — delay faults genuinely reorder delivery.
@@ -296,8 +333,9 @@ void Fabric::Tick(sim::Cycle cycle) {
         if (duplicate) {
           // The switch emits a second copy right behind the first; it pays
           // its own receive-port serialization.
-          const sim::Cycle rx2_end = ports_[p.dst].rx.free + ser;
-          SetFree(ports_[p.dst].rx, rx2_end);
+          const sim::Cycle rx2_start = ports_[p.dst].rx.free;
+          const sim::Cycle rx2_end = rx2_start + ser;
+          Reserve(ports_[p.dst].rx, rx2_start, rx2_end);
           Arrive(p.dst, rx2_end + extra_delay, p);
         }
         progressed = true;
@@ -324,8 +362,10 @@ void Fabric::Tick(sim::Cycle cycle) {
       if (dst.empty()) break;  // ingress FIFO full
       size_t k = 0;
       while (k < dst.size() && !pq.empty() && pq.top().deliver_at <= cycle) {
-        dst[k] = pq.top().packet;
         payload_bytes_delivered_ += pq.top().packet.bytes;
+        // Ordering reads only deliver_at, so the top's packet may be moved
+        // out right before it is popped.
+        dst[k] = std::move(const_cast<InFlight&>(pq.top()).packet);
         pq.pop();
         ++k;
       }

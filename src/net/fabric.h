@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,6 +38,86 @@ enum class OpKind : uint8_t {
   kMigrateStart = 14,  ///< Coordinator -> source shard: begin streaming a range.
   kMigrateChunk = 15,  ///< Source -> target shard: one chunk of migrated state.
   kMigrateDone = 16,   ///< Target -> coordinator: all chunk bytes received.
+  kOffloadFwd = 17,    ///< Shard -> shard: a slice handed to its new owner
+                       ///< (live resharding); `user2` = its scatter shard.
+  kScatterBundle = 18, ///< Coordinator/shard -> shard: a scatter-tree bundle
+                       ///< carrying the recipient's slice and its subtree's.
+};
+
+/// The reply record of a partial-result gather, carried by kOffloadResp
+/// packets: one entry per request slice the reply answers, plus the
+/// concatenated payload size of the partial results folded into it. A
+/// shard's own reply holds one entry; tree-gather interior shards and the
+/// switch combiners fold replies into one record and forward it.
+///
+/// A handle: copies share one immutable record, so a packet's copies
+/// through NIC queues and the fabric cost a pointer each, and only the
+/// builder holding the sole handle appends (a shared record is copied
+/// first). Records are recycled through a per-thread pool, so a steady
+/// stream of replies does not touch the heap.
+class GatherReply {
+ public:
+  struct Entry {
+    uint64_t tag = 0;             ///< The coordinator's tag for the slice.
+    uint64_t service_cycles = 0;  ///< Shard pipeline occupancy (if served).
+    uint64_t own_bytes = 0;       ///< The slice's own partial-result bytes.
+    uint32_t shard = 0;           ///< The slice's scatter shard.
+    bool rejected = false;        ///< Shed at shard admission ("busy").
+  };
+
+  GatherReply() = default;
+  GatherReply(const GatherReply& other) : rec_(other.rec_) {
+    if (rec_ != nullptr) ++rec_->refs;
+  }
+  GatherReply(GatherReply&& other) noexcept
+      : rec_(std::exchange(other.rec_, nullptr)) {}
+  GatherReply& operator=(GatherReply other) noexcept {
+    std::swap(rec_, other.rec_);
+    return *this;
+  }
+  ~GatherReply() {
+    if (rec_ != nullptr) Release();
+  }
+
+  std::span<const Entry> entries() const {
+    return rec_ == nullptr ? std::span<const Entry>()
+                           : std::span<const Entry>(rec_->entries);
+  }
+  size_t size() const { return entries().size(); }
+  /// Sum of the payload bytes of everything folded in so far.
+  uint64_t concat_bytes() const {
+    return rec_ == nullptr ? 0 : rec_->concat_bytes;
+  }
+
+  /// Adds one slice's own entry; its partial result joins the payload.
+  void Add(const Entry& entry) {
+    Record& r = Own();
+    r.entries.push_back(entry);
+    r.concat_bytes += entry.own_bytes;
+  }
+  /// Folds another reply in, whose merged wire payload was `payload_bytes`.
+  void Fold(const GatherReply& other, uint64_t payload_bytes) {
+    const std::span<const Entry> more = other.entries();
+    Record& r = Own();
+    r.entries.insert(r.entries.end(), more.begin(), more.end());
+    r.concat_bytes += payload_bytes;
+  }
+
+ private:
+  struct Record {
+    std::vector<Entry> entries;
+    uint64_t concat_bytes = 0;
+    uint32_t refs = 1;
+  };
+  static std::vector<std::unique_ptr<Record>>& Pool();
+
+  /// The record this handle may write: its own when unshared, else a fresh
+  /// (pooled) copy.
+  Record& Own();
+  /// Drops this handle's share, recycling the record when it was the last.
+  void Release();
+
+  Record* rec_ = nullptr;
 };
 
 /// A message on the fabric. `bytes` is payload size; the fabric adds the
@@ -57,6 +138,7 @@ struct Packet {
                        ///< cumulative byte offset instead.
   bool corrupt = false;  ///< Payload failed its CRC (set by the FaultInjector);
                          ///< receivers must discard or NACK, never consume.
+  GatherReply reply;  ///< Shard-layer kOffloadResp: the slices it answers.
 };
 
 /// The kinds of link fault the injector can produce.
@@ -263,38 +345,48 @@ class Fabric : public sim::Module {
     bool operator>(const InFlight& o) const { return deliver_at > o.deliver_at; }
   };
 
-  /// One serialized NIC resource: a port's tx or rx side. It is busy in
-  /// cycle c iff c < `free` as it stood when cycle c ticked. The busy count
-  /// is settled lazily: `busy` holds the busy cycles before `from`, and
-  /// every cycle from there up to covered_to_ saw the current `free` (it is
-  /// settled right before each change), so BusyIn() gives the rest.
+  /// One serialized NIC resource: a port's tx or rx side. Each packet
+  /// reserves it for [start, end), where start may lie ahead of the
+  /// reservation tick (an rx port is idle while the packet is still on the
+  /// wire); `free` is the end of the last reservation. It is busy in cycle
+  /// c iff c lies in a reservation. `reserved` sums every reservation, and
+  /// `runs` keeps those (back-to-back ones merged, oldest first) that may
+  /// still reach past the covered window, so the busy count is `reserved`
+  /// minus their uncovered part.
   struct Serializer {
     sim::Cycle free = 0;
-    uint64_t busy = 0;
-    sim::Cycle from = 0;
+    uint64_t reserved = 0;
+    std::vector<std::pair<sim::Cycle, sim::Cycle>> runs;
   };
   struct Port {
     Serializer tx;
     Serializer rx;
   };
 
-  /// Cycles c in [from, to) with c < free_at: the busy cycles of a port
-  /// that stays serializing until `free_at` over that window.
-  static uint64_t BusyIn(sim::Cycle free_at, sim::Cycle from, sim::Cycle to) {
-    return free_at > from ? std::min(free_at, to) - from : 0;
+  /// Cycles of `s`'s runs at or after `from`, before `to`.
+  static uint64_t RunCycles(const Serializer& s, sim::Cycle from,
+                            sim::Cycle to) {
+    uint64_t n = 0;
+    for (const auto& [start, end] : s.runs) {
+      const sim::Cycle lo = std::max(start, from);
+      const sim::Cycle hi = std::min(end, to);
+      if (lo < hi) n += hi - lo;
+    }
+    return n;
   }
+  /// The busy cycles of `s` over every covered cycle.
   uint64_t Busy(const Serializer& s) const {
-    return s.busy + BusyIn(s.free, s.from, covered_to_);
+    return s.reserved - RunCycles(s, covered_to_, sim::kNoEventCycle);
   }
 
-  /// Moves `s`'s free cycle during the tick that covers cycle
-  /// covered_to_ - 1, settling its busy count under the old value first.
-  void SetFree(Serializer& s, sim::Cycle free_at);
+  /// Reserves `s` for [start, end) during the tick that covers cycle
+  /// covered_to_ - 1. Reservations are made in order: start >= s.free.
+  void Reserve(Serializer& s, sim::Cycle start, sim::Cycle end);
 
   /// Extends the covered window to start at `from` (a tick or skip of
   /// cycles from `from` on). Coverage is contiguous under every engine
-  /// mode; a gap (a fabric re-driven from another cycle) settles every port
-  /// through the old window and restarts them at `from`.
+  /// mode; a gap (a fabric re-driven from a later cycle) leaves the skipped
+  /// cycles uncovered, so no port counts them busy.
   void Cover(sim::Cycle from);
 
   /// Queues `packet` for delivery to `node` at `at`, indexing the port in

@@ -91,7 +91,7 @@ void RdmaEndpoint::PostWrite(uint32_t dst, uint64_t addr, uint64_t bytes,
 void RdmaEndpoint::PostPacket(Packet p) {
   WakeUp();
   p.src = node_id_;
-  outbox_.push_back(p);
+  outbox_.push_back(std::move(p));
 }
 
 bool RdmaEndpoint::PollCompletion(Completion* out) {
@@ -103,7 +103,7 @@ bool RdmaEndpoint::PollCompletion(Completion* out) {
 
 bool RdmaEndpoint::PollRecv(Packet* out) {
   if (rq_.empty()) return false;
-  *out = rq_.front();
+  *out = std::move(rq_.front());
   rq_.pop_front();
   return true;
 }
@@ -192,10 +192,13 @@ void RdmaEndpoint::Dispatch(sim::Cycle cycle, const Packet& p) {
     case OpKind::kMigrateStart:
     case OpKind::kMigrateChunk:
     case OpKind::kMigrateDone:
+    case OpKind::kOffloadFwd:
+    case OpKind::kScatterBundle:
       // TCP kinds only appear when a TcpStack owns the port; surfacing
       // them in the receive queue keeps misconfigurations observable.
       // (kRdmaAck/kRdmaNack are consumed before Dispatch in lossy mode.)
-      // Beacon and migration kinds are consumed by the shard layer.
+      // Beacon, migration, forwarded-slice and bundle kinds are consumed
+      // by the shard layer.
       NotifyDelivery();
       rq_.push_back(p);
       break;
@@ -295,7 +298,7 @@ void RdmaEndpoint::Tick(sim::Cycle cycle) {
   const bool rel = reliable();
   // Ship posted work requests to the NIC.
   while (!outbox_.empty() && eg.CanWrite()) {
-    Packet p = outbox_.front();
+    Packet p = std::move(outbox_.front());
     outbox_.pop_front();
     if (rel && IsSequenced(p.kind) && p.seq == 0) {
       // First transmission: stamp the per-destination sequence number and
@@ -304,12 +307,12 @@ void RdmaEndpoint::Tick(sim::Cycle cycle) {
       const uint64_t rto = InitialRto(p);
       unacked_[{p.dst, p.seq}] = {p, cycle + rto, rto, 0};
     }
-    eg.Write(p);
     if (!rel && p.kind == OpKind::kSend) {
       // Local send completion: the message left the NIC.
       NotifyDelivery();
       cq_.push_back({p.tag, OpKind::kSend, p.dst, p.bytes, cycle});
     }
+    eg.Write(std::move(p));
     progressed = true;
   }
   // Service arrivals.

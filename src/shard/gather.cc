@@ -53,8 +53,8 @@ Status ValidateGather(const GatherConfig& config, uint32_t num_shards,
     }
   }
   if (config.topology != GatherTopology::kFlat && num_shards > 64) {
-    // Merged responses carry per-shard coverage as 64-bit masks on the wire
-    // (Packet::addr / Packet::user2).
+    // Merges are sized by Workload::MergedBytes, whose done-shard set is a
+    // 64-bit mask.
     return Status::InvalidArgument(
         std::string(GatherTopologyName(config.topology)) +
         " gather supports at most 64 shards, got " +
@@ -75,21 +75,12 @@ GatherPlan::GatherPlan(const GatherConfig& config, uint32_t num_shards,
 }
 
 void GatherPlan::Arm(uint64_t request_id,
-                     const std::vector<uint32_t>& shards) {
-  std::vector<SliceInfo> slices;
-  slices.reserve(shards.size());
-  for (uint32_t s : shards) slices.push_back({s, 0, 0});
-  Arm(request_id, slices, 0);
-}
-
-void GatherPlan::Arm(uint64_t request_id,
                      const std::vector<SliceInfo>& slices,
                      uint64_t shared_bytes) {
-  FPGADP_CHECK(config_.topology == GatherTopology::kTree ||
-               config_.scatter == ScatterMode::kTree);
+  FPGADP_CHECK(routed());
   FPGADP_CHECK(!slices.empty());
   FPGADP_CHECK(routes_.find(request_id) == routes_.end());
-  std::map<uint32_t, Role>& route = routes_[request_id];
+  std::map<uint32_t, Route>& route = routes_[request_id];
   // One heap-shaped fanout-ary tree per coordinator port, over the port's
   // members in ascending shard order.
   for (uint32_t port = 0; port < ports(); ++port) {
@@ -100,47 +91,58 @@ void GatherPlan::Arm(uint64_t request_id,
       if (PortOf(slices[i].shard) == port) group.push_back(&slices[i]);
     }
     for (size_t i = 0; i < group.size(); ++i) {
-      Role role;
-      if (i == 0) {
-        role.parent = kToCoordinator;
-        role.port = port;
-      } else {
-        role.parent = group[(i - 1) / config_.fanout]->shard;
-      }
+      Route r;
+      r.gather.port = port;
+      if (i > 0) r.gather.parent = group[(i - 1) / config_.fanout]->shard;
+      r.scatter.root = i == 0;
       const size_t first_child = i * config_.fanout + 1;
       for (size_t c = first_child;
            c < first_child + config_.fanout && c < group.size(); ++c) {
-        ++role.expected_children;
-        role.down.push_back(group[c]->shard);
+        ++r.gather.expected_children;
+        r.scatter.down.push_back(group[c]->shard);
       }
-      role.slice_bytes = group[i]->request_bytes;
-      role.tag = group[i]->tag;
+      r.scatter.slice_bytes = group[i]->request_bytes;
+      r.scatter.tag = group[i]->tag;
       // Seeded with the member's distinct bytes; the bottom-up pass below
       // folds in descendants, and the shared portion is added once per
       // bundle at the end.
-      role.subtree_bytes = group[i]->request_bytes - shared_bytes;
-      route[group[i]->shard] = role;
+      r.scatter.subtree_bytes = group[i]->request_bytes - shared_bytes;
+      route[group[i]->shard] = std::move(r);
     }
     // Heap order guarantees parent index < child index, so one reverse
     // sweep accumulates subtree distinct bytes bottom-up.
     for (size_t i = group.size(); i-- > 1;) {
-      route[group[(i - 1) / config_.fanout]->shard].subtree_bytes +=
-          route[group[i]->shard].subtree_bytes;
+      route[group[(i - 1) / config_.fanout]->shard].scatter.subtree_bytes +=
+          route[group[i]->shard].scatter.subtree_bytes;
     }
     for (const SliceInfo* s : group) {
-      route[s->shard].subtree_bytes += shared_bytes;
+      route[s->shard].scatter.subtree_bytes += shared_bytes;
     }
   }
 }
 
 void GatherPlan::Release(uint64_t request_id) { routes_.erase(request_id); }
 
-const GatherPlan::Role* GatherPlan::RoleOf(uint64_t request_id,
-                                           uint32_t shard) const {
+std::optional<GatherPlan::GatherRole> GatherPlan::GatherRoleOf(
+    uint64_t request_id, uint32_t shard) const {
+  if (config_.topology != GatherTopology::kTree) {
+    GatherRole depth1;
+    depth1.port = PortOf(shard);
+    return depth1;
+  }
+  const auto it = routes_.find(request_id);
+  if (it == routes_.end()) return std::nullopt;
+  const auto rit = it->second.find(shard);
+  if (rit == it->second.end()) return std::nullopt;
+  return rit->second.gather;
+}
+
+const GatherPlan::ScatterRole* GatherPlan::ScatterRoleOf(
+    uint64_t request_id, uint32_t shard) const {
   const auto it = routes_.find(request_id);
   if (it == routes_.end()) return nullptr;
   const auto rit = it->second.find(shard);
-  return rit == it->second.end() ? nullptr : &rit->second;
+  return rit == it->second.end() ? nullptr : &rit->second.scatter;
 }
 
 }  // namespace fpgadp::shard

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,9 +13,10 @@ namespace fpgadp::shard {
 
 /// How shard responses travel back to the coordinator.
 enum class GatherTopology : uint8_t {
-  /// Every shard replies straight to the coordinator port its request came
-  /// from. The E22 incumbent: all response bytes serialize through the
-  /// coordinator's ingress port(s) — the fan-in wall.
+  /// Every shard replies straight to its coordinator port (the depth-1
+  /// tree: every participant a root with no children). The E22 incumbent:
+  /// all response bytes serialize through the coordinator's ingress
+  /// port(s) — the fan-in wall.
   kFlat = 0,
   /// Responses climb a k-ary tree rooted at each coordinator port: interior
   /// shards partial-merge their children's responses with their own before
@@ -22,9 +24,9 @@ enum class GatherTopology : uint8_t {
   /// receives one merged packet per subtree instead of one per shard.
   kTree = 1,
   /// Responses are combined inside the switch by a per-port aggregation
-  /// engine (net::AggregatingSwitch): shards reply as in flat gather, but
-  /// the packets never occupy the coordinator's receive port — only the
-  /// single combined response per port does.
+  /// engine (net::AggregatingSwitch): shards reply depth-1 as in flat
+  /// gather, but the packets never occupy the coordinator's receive port —
+  /// only the single combined response per port does.
   kSwitch = 2,
 };
 
@@ -96,24 +98,28 @@ struct GatherConfig {
 ///  * num_shards, coordinator_ports and replicas are all >= 1;
 ///  * replicas > 1 needs flat gather with unicast scatter (tree and switch
 ///    gather and scatter bundles address peers by shard id, not replica);
-///  * tree and switch gather carry per-shard coverage as 64-bit masks on
-///    the wire, so they cap num_shards at 64;
+///  * tree and switch gather size their merges through
+///    Workload::MergedBytes, whose done-shard set is a 64-bit mask, so
+///    they cap num_shards at 64;
 ///  * tree gather or tree scatter needs fanout >= 1.
 Status ValidateGather(const GatherConfig& config, uint32_t num_shards,
                       uint32_t replicas);
 
-/// The routing half of hierarchical gather: which fabric node each shard's
-/// response goes to, and how many child contributions an interior shard
-/// must fold in before forwarding. Shared by the coordinator (which arms a
-/// route per request at scatter and releases it at finalize) and every
-/// ShardServer (which looks its role up when a slice completes).
+/// The routing half of gather and tree scatter: where each shard's reply
+/// goes and how many child replies it folds in first, and how scatter
+/// bundles fan out. Shared by the coordinator (which arms a route per
+/// request at scatter and releases it at finalize) and every ShardServer
+/// (which looks its roles up when a slice arrives or completes).
 ///
-/// Routes are per request because a request may touch any subset of shards
-/// (a multi-get's keys rarely cover all of them). Participants are grouped
-/// by their coordinator port (shard % ports); each group forms one
-/// array-heap-shaped `fanout`-ary tree over its members in ascending shard
-/// order — child i's parent is member (i-1)/fanout — whose root forwards
-/// the group's merged response to the group's port.
+/// Flat and switch gather are the depth-1 case of tree gather: every
+/// participant is a root with zero children, replying to its coordinator
+/// port. Their gather roles follow from the shard id alone, so they arm no
+/// per-request route. Tree gather and tree scatter arm one: participants
+/// are grouped by their coordinator port (shard % ports); each group forms
+/// one array-heap-shaped `fanout`-ary tree over its members in ascending
+/// shard order — child i's parent is member (i-1)/fanout — whose root
+/// talks to the group's port. Gather and scatter roles are separate, so
+/// flat or switch gather under tree scatter still replies depth-1.
 ///
 /// Thread-safety: none needed. Every engine ticks its modules one at a time
 /// (see sim::Engine), and the plan is only touched from coordinator and
@@ -123,22 +129,28 @@ class GatherPlan {
   /// Sentinel parent: forward to the coordinator port, not a shard.
   static constexpr uint32_t kToCoordinator = 0xffffffffu;
 
-  /// A shard's place in one request's gather tree.
-  struct Role {
+  /// Where a shard's reply goes, and how many child replies fold into it
+  /// before it ships.
+  struct GatherRole {
     uint32_t parent = kToCoordinator;  ///< Shard id, or kToCoordinator.
     uint32_t port = 0;  ///< Destination port when parent == kToCoordinator.
     uint32_t expected_children = 0;  ///< Contributions to fold in.
-    /// Child shards in tree order (scatter == kTree: the bundles this node
-    /// peels off and forwards).
+  };
+
+  /// A shard's place in one request's scatter tree (scatter == kTree).
+  struct ScatterRole {
+    /// True for the group root, the one member the coordinator ships to.
+    bool root = false;
+    /// Child shards in tree order: the bundles this node peels off and
+    /// forwards.
     std::vector<uint32_t> down;
     /// This shard's own request slice, on the wire (shared + distinct).
     uint64_t slice_bytes = 0;
     /// Bundle bytes for this node's whole subtree: the request's shared
     /// bytes once, plus every subtree member's distinct bytes.
     uint64_t subtree_bytes = 0;
-    /// Coordinator tag of this shard's slice, so a scatter-tree recipient
-    /// can address its flat-gather response without a per-slice request
-    /// packet having carried the tag to it.
+    /// Coordinator tag of this shard's slice, so a bundle recipient can
+    /// tag its reply without a per-slice request packet having carried it.
     uint64_t tag = 0;
   };
 
@@ -172,37 +184,52 @@ class GatherPlan {
   }
   uint32_t ShardNode(uint32_t shard) const { return ReplicaNode(shard, 0); }
   uint32_t PortNode(uint32_t port) const { return port; }
-  /// Coordinator port serving `shard` (request egress and, in flat and
-  /// switch gather, response ingress).
+  /// Coordinator port serving `shard`: its request egress and the ingress
+  /// of its (or its gather tree's) reply.
   uint32_t PortOf(uint32_t shard) const {
     return shard % config_.coordinator_ports;
   }
 
-  /// Tree gather and/or tree scatter: builds the request's per-port trees
-  /// over `shards` (sorted, unique). Must run before the first slice ships.
-  void Arm(uint64_t request_id, const std::vector<uint32_t>& shards);
-  /// Full form: per-slice wire sizes and tags let the routes double as the
-  /// scatter plan. `shared_bytes` is the portion of every slice that is
-  /// identical across shards (e.g. the query vector): a subtree bundle
-  /// carries it once, plus each member's distinct remainder. Slices must be
-  /// sorted by shard and each slice's request_bytes must be
+  /// True when requests need a per-request route (tree gather and/or tree
+  /// scatter): Arm at scatter, Release at finalize.
+  bool routed() const {
+    return config_.topology == GatherTopology::kTree ||
+           config_.scatter == ScatterMode::kTree;
+  }
+  /// Builds the request's per-port trees over `slices` (sorted by shard,
+  /// unique). Must run before the first slice ships. Per-slice wire sizes
+  /// and tags let the routes double as the scatter plan: `shared_bytes` is
+  /// the portion of every slice that is identical across shards (e.g. the
+  /// query vector), which a subtree bundle carries once, plus each
+  /// member's distinct remainder. Each slice's request_bytes must be
   /// >= shared_bytes.
   void Arm(uint64_t request_id, const std::vector<SliceInfo>& slices,
            uint64_t shared_bytes);
-  /// Drops a finalized request's route; stale lookups return nullptr and
-  /// the holder discards its orphaned merge state.
+  /// Drops a finalized request's route; stale lookups come back empty and
+  /// the holder discards its orphaned merge state or bundle.
   void Release(uint64_t request_id);
-  /// The shard's role in `request_id`'s tree, or nullptr when the request
-  /// is unarmed / released / does not involve the shard.
-  const Role* RoleOf(uint64_t request_id, uint32_t shard) const;
+  /// The gather role of `shard`'s slice of `request_id`. Flat and switch
+  /// gather: the depth-1 root role at PortOf(shard), always. Tree gather:
+  /// the armed route's, or nullopt once the request is released (or when
+  /// it does not involve the shard).
+  std::optional<GatherRole> GatherRoleOf(uint64_t request_id,
+                                         uint32_t shard) const;
+  /// The scatter-tree role of `shard` in `request_id`, or nullptr when the
+  /// request is unarmed / released / does not involve the shard.
+  const ScatterRole* ScatterRoleOf(uint64_t request_id, uint32_t shard) const;
 
   size_t armed_requests() const { return routes_.size(); }
 
  private:
+  struct Route {
+    GatherRole gather;
+    ScatterRole scatter;
+  };
+
   GatherConfig config_;
   uint32_t num_shards_;
   uint32_t replicas_;
-  std::map<uint64_t, std::map<uint32_t, Role>> routes_;
+  std::map<uint64_t, std::map<uint32_t, Route>> routes_;
 };
 
 }  // namespace fpgadp::shard

@@ -10,14 +10,15 @@
 namespace fpgadp::shard {
 
 namespace {
-// Forwarded kOffloadReq marker (Packet::addr): bit 63 set, low bits = the
-// slice's original scatter shard. Ordinary flat-gather requests carry
-// addr = 0, so the flag cannot collide.
-constexpr uint64_t kForwardFlag = 1ull << 63;
-// Scatter-tree bundle marker (Packet::addr): bit 62 set. Migration
-// forwarding (kForwardFlag) requires unicast scatter and bundles require
-// tree scatter, so the two flags never meet on one packet.
-constexpr uint64_t kScatterFlag = 1ull << 62;
+// The done-shard set Workload::MergedBytes takes (bit s = shard s); tree
+// and switch gather cap num_shards at 64 for it (see ValidateGather).
+uint64_t DoneMask(const net::GatherReply& reply) {
+  uint64_t mask = 0;
+  for (const net::GatherReply::Entry& e : reply.entries()) {
+    if (!e.rejected) mask |= 1ull << e.shard;
+  }
+  return mask;
+}
 }  // namespace
 
 const char* SubOutcomeName(SubOutcome outcome) {
@@ -139,8 +140,8 @@ void ShardCoordinator::Enqueue(uint64_t request_id,
     ++req_slices_;
     a.subs.push_back(sub);
   }
-  // Arm the response / scatter routes before the first slice can ship.
-  if (plan_->topology() == GatherTopology::kTree || scatter_tree) {
+  // Arm the gather / scatter routes before the first slice can ship.
+  if (plan_->routed()) {
     std::vector<GatherPlan::SliceInfo> slices;
     slices.reserve(a.subs.size());
     for (const Sub& sub : a.subs) {
@@ -154,13 +155,11 @@ void ShardCoordinator::Enqueue(uint64_t request_id,
     plan_->Arm(request_id, slices, shared);
   }
   if (agg_switch_ != nullptr) {
-    std::vector<uint64_t> masks(plan_->ports(), 0);
-    for (const Sub& sub : a.subs) {
-      masks[plan_->PortOf(sub.shard)] |= 1ull << sub.shard;
-    }
+    std::vector<uint32_t> members(plan_->ports(), 0);
+    for (const Sub& sub : a.subs) ++members[plan_->PortOf(sub.shard)];
     for (uint32_t port = 0; port < plan_->ports(); ++port) {
-      if (masks[port] != 0) {
-        agg_switch_->Arm(request_id, plan_->PortNode(port), masks[port]);
+      if (members[port] != 0) {
+        agg_switch_->Arm(request_id, plan_->PortNode(port), members[port]);
       }
     }
   }
@@ -170,8 +169,7 @@ void ShardCoordinator::Enqueue(uint64_t request_id,
   for (size_t i = 0; i < a.subs.size(); ++i) {
     Sub& sub = a.subs[i];
     if (scatter_tree) {
-      const GatherPlan::Role* role = plan_->RoleOf(request_id, sub.shard);
-      sub.windowed = role->parent == GatherPlan::kToCoordinator;
+      sub.windowed = plan_->ScatterRoleOf(request_id, sub.shard)->root;
       if (!sub.windowed) continue;
     }
     shard_queue_[sub.shard].push_back({request_id, i});
@@ -428,21 +426,19 @@ void ShardCoordinator::Finalize(uint64_t request_id, Active& a,
   // Tear down the routes: interior shards drop orphaned merge state (and
   // scatter bundles) on their next lookup, and the switch frees any held
   // partial group.
-  if (plan_->topology() == GatherTopology::kTree ||
-      plan_->config().scatter == ScatterMode::kTree) {
-    plan_->Release(request_id);
-  }
+  if (plan_->routed()) plan_->Release(request_id);
   if (agg_switch_ != nullptr) agg_switch_->Disarm(request_id);
 }
 
-void ShardCoordinator::MarkSubtreeSent(Active& a, uint64_t request_id,
-                                       const GatherPlan::Role& root_role,
-                                       sim::Cycle cycle) {
+void ShardCoordinator::MarkSubtreeSent(
+    Active& a, uint64_t request_id, const GatherPlan::ScatterRole& root_role,
+    sim::Cycle cycle) {
   std::vector<uint32_t> stack(root_role.down.begin(), root_role.down.end());
   while (!stack.empty()) {
     const uint32_t shard = stack.back();
     stack.pop_back();
-    const GatherPlan::Role* role = plan_->RoleOf(request_id, shard);
+    const GatherPlan::ScatterRole* role =
+        plan_->ScatterRoleOf(request_id, shard);
     if (role != nullptr) {
       stack.insert(stack.end(), role->down.begin(), role->down.end());
     }
@@ -477,18 +473,19 @@ bool ShardCoordinator::PumpQueues(sim::Cycle cycle) {
       Sub& sub = it->second.subs[sub_index];
       net::Packet p;
       p.dst = PrimaryNode(s);
-      p.kind = net::OpKind::kOffloadReq;
       p.tag = sub.tag;
       p.user = request_id;
       if (scatter_tree) {
         // One bundle for the whole port group: the subtree's bytes behind
         // this root, shared portion counted once. Descendants ship with it.
-        const GatherPlan::Role* role = plan_->RoleOf(request_id, s);
+        const GatherPlan::ScatterRole* role =
+            plan_->ScatterRoleOf(request_id, s);
         FPGADP_CHECK(role != nullptr);
-        p.addr = kScatterFlag;
+        p.kind = net::OpKind::kScatterBundle;
         p.bytes = role->subtree_bytes;
         MarkSubtreeSent(it->second, request_id, *role, cycle);
       } else {
+        p.kind = net::OpKind::kOffloadReq;
         p.bytes = sub.bytes;
       }
       endpoints_[plan_->PortOf(s)]->PostPacket(p);
@@ -503,34 +500,24 @@ bool ShardCoordinator::PumpQueues(sim::Cycle cycle) {
   return progressed;
 }
 
-void ShardCoordinator::HandleMergedResponse(const net::Packet& p,
-                                            sim::Cycle cycle) {
-  const uint64_t request_id = p.user;
-  const auto it = active_.find(request_id);
-  if (it == active_.end()) {
-    ++late_responses_;  // its gather already finalized under the deadline
-    return;
-  }
-  // Collect before resolving: the last ResolveSub may finalize the request
-  // and erase the Active entry out from under an in-place iteration.
-  std::vector<std::pair<size_t, SubOutcome>> resolutions;
-  const Active& a = it->second;
-  for (size_t i = 0; i < a.subs.size(); ++i) {
-    const Sub& sub = a.subs[i];
-    if (sub.outcome != SubOutcome::kPending) continue;
-    const uint64_t bit = 1ull << sub.shard;
-    if ((p.addr & bit) != 0) {
-      resolutions.push_back({i, SubOutcome::kDone});
-    } else if ((p.user2 & bit) != 0) {
-      resolutions.push_back({i, SubOutcome::kRejected});
+void ShardCoordinator::HandleReply(const net::Packet& p, sim::Cycle cycle) {
+  for (const net::GatherReply::Entry& e : p.reply.entries()) {
+    const auto it = tag_map_.find(e.tag);
+    if (it == tag_map_.end()) {
+      // The slice resolved without this entry: its gather finalized under
+      // the deadline, or a failover replay retired the tag.
+      ++late_responses_;
+      continue;
     }
-  }
-  if (resolutions.empty()) {
-    ++late_responses_;  // straggler re-covering already-resolved slices
-    return;
-  }
-  for (const auto& [index, outcome] : resolutions) {
-    ResolveSub(request_id, index, outcome, cycle);
+    const auto [request_id, sub_index] = it->second;
+    if (!e.rejected) {
+      resp_bytes_total_ += e.own_bytes;
+      ++resp_count_;
+      const Sub& sub = active_.find(request_id)->second.subs[sub_index];
+      ObserveService(sub.shard, e.service_cycles, cycle - sub.sent_at);
+    }
+    ResolveSub(request_id, sub_index,
+               e.rejected ? SubOutcome::kRejected : SubOutcome::kDone, cycle);
   }
 }
 
@@ -574,10 +561,8 @@ void ShardCoordinator::Tick(sim::Cycle cycle) {
     CheckBeacons(cycle);
   }
 
-  // Responses. Flat gather: one tagged response per slice — bit 0 of user2
-  // flags a shard-side rejection, otherwise user2 >> 1 reports the slice's
-  // service cycles, which feeds the admission estimator. Tree / switch
-  // gather: merged-form responses resolve every slice their masks cover.
+  // Replies. Whatever the topology, a reply is one record of slice
+  // entries — a shard's own, a tree node's merge or a switch combine.
   for (net::RdmaEndpoint* ep : endpoints_) {
     net::Packet p;
     while (ep->PollRecv(&p)) {
@@ -594,28 +579,7 @@ void ShardCoordinator::Tick(sim::Cycle cycle) {
         HandleMigrateDone(p, cycle);
         continue;
       }
-      if (p.kind != net::OpKind::kOffloadResp) continue;
-      if (merged_responses()) {
-        HandleMergedResponse(p, cycle);
-        continue;
-      }
-      const auto it = tag_map_.find(p.tag);
-      if (it == tag_map_.end()) {
-        ++late_responses_;  // its gather already finalized under the deadline
-        continue;
-      }
-      const bool busy = (p.user2 & 1) != 0;
-      if (!busy) {
-        resp_bytes_total_ += p.bytes;
-        ++resp_count_;
-        const auto ait = active_.find(it->second.first);
-        if (ait != active_.end()) {
-          const Sub& sub = ait->second.subs[it->second.second];
-          ObserveService(sub.shard, p.user2 >> 1, cycle - sub.sent_at);
-        }
-      }
-      ResolveSub(it->second.first, it->second.second,
-                 busy ? SubOutcome::kRejected : SubOutcome::kDone, cycle);
+      if (p.kind == net::OpKind::kOffloadResp) HandleReply(p, cycle);
     }
   }
 
@@ -742,13 +706,13 @@ ShardServer::ShardServer(std::string name, uint32_t shard_id,
       replica_index_(replica_index), elastic_(elastic) {
   FPGADP_CHECK(workload_ != nullptr);
   FPGADP_CHECK(endpoint_ != nullptr);
+  FPGADP_CHECK(plan_ != nullptr);
   FPGADP_CHECK(config_.max_queue > 0);
   // Event-safe: NextEventCycle covers the pipeline, merge timeouts, beacon
   // posts and chunk pacing; the endpoint wakes the server on arrivals.
   endpoint_->SetWakeListener(this);
   SetEventSafe();
   if (elastic_ != nullptr && elastic_->config.beacon_interval_cycles > 0) {
-    FPGADP_CHECK(plan_ != nullptr);
     next_beacon_at_ = elastic_->config.beacon_interval_cycles;
   }
 }
@@ -806,55 +770,100 @@ void ShardServer::AbortMigration(sim::Cycle cycle) {
   }
 }
 
-ShardServer::MergeState& ShardServer::TouchMerge(uint64_t request_id,
-                                                 sim::Cycle cycle) {
-  auto it = merges_.find(request_id);
-  if (it == merges_.end()) {
-    MergeState m;
-    const uint64_t timeout = plan_->config().merge_timeout_cycles;
-    if (timeout > 0) m.timeout_at = cycle + timeout;
-    it = merges_.emplace(request_id, m).first;
-  }
-  return it->second;
+uint32_t ShardServer::SliceShard(const net::Packet& request) const {
+  return request.kind == net::OpKind::kOffloadFwd
+             ? static_cast<uint32_t>(request.user2)
+             : shard_id_;
 }
 
-void ShardServer::MaybeEmit(uint64_t request_id, sim::Cycle cycle) {
-  const auto it = merges_.find(request_id);
-  if (it == merges_.end()) return;
-  const GatherPlan::Role* role = plan_->RoleOf(request_id, shard_id_);
-  if (role == nullptr) {
+std::map<uint64_t, ShardServer::MergeState>::iterator ShardServer::NewMerge(
+    uint64_t request_id, sim::Cycle cycle) {
+  MergeState m;
+  const uint64_t timeout = plan_->config().merge_timeout_cycles;
+  if (timeout > 0) m.timeout_at = cycle + timeout;
+  return merges_.emplace(request_id, std::move(m)).first;
+}
+
+std::optional<GatherPlan::GatherRole> ShardServer::LiveRole(
+    uint64_t request_id, uint32_t shard) {
+  const std::optional<GatherPlan::GatherRole> role =
+      plan_->GatherRoleOf(request_id, shard);
+  if (!role.has_value()) {
     // The gather finalized (deadline expiry) and released its route;
     // nobody upstream is listening anymore.
     ++stale_merges_dropped_;
-    merges_.erase(it);
-    return;
+    merges_.erase(request_id);
   }
-  if (!it->second.own_resolved ||
-      it->second.children_seen < role->expected_children) {
-    return;
-  }
-  EmitMerge(request_id, it->second, cycle);
+  return role;
 }
 
-void ShardServer::EmitMerge(uint64_t request_id, MergeState& m,
-                            sim::Cycle cycle) {
-  const GatherPlan::Role* role = plan_->RoleOf(request_id, shard_id_);
-  if (role == nullptr) {
-    ++stale_merges_dropped_;
-    merges_.erase(request_id);
+void ShardServer::Resolve(uint64_t request_id,
+                          const net::GatherReply::Entry& own,
+                          sim::Cycle cycle) {
+  const std::optional<GatherPlan::GatherRole> role =
+      LiveRole(request_id, own.shard);
+  if (!role.has_value()) return;
+  auto it = merges_.find(request_id);
+  if (it == merges_.end() && role->expected_children == 0) {
+    // Depth-1 (every flat and switch participant, and tree leaves):
+    // nothing folds in after this entry, so the reply ships at once.
+    MergeState m;
+    m.reply.Add(own);
+    EmitMerge(request_id, *role, m, cycle);
     return;
   }
+  if (it == merges_.end()) it = NewMerge(request_id, cycle);
+  it->second.reply.Add(own);
+  it->second.own_resolved = true;
+  MaybeEmit(it, *role, cycle);
+}
+
+void ShardServer::FoldChild(const net::Packet& child, sim::Cycle cycle) {
+  const std::optional<GatherPlan::GatherRole> role =
+      LiveRole(child.user, shard_id_);
+  if (!role.has_value()) return;
+  auto it = merges_.find(child.user);
+  if (it == merges_.end()) it = NewMerge(child.user, cycle);
+  MergeState& m = it->second;
+  m.reply.Fold(child.reply, child.bytes);
+  ++m.children_seen;
+  if (plan_->config().pipelined_merge) {
+    // The merge engine folds this child in starting now (or as soon as it
+    // finishes the previous one), overlapping the wait for the rest of the
+    // subtree.
+    m.merge_ready_at = std::max(m.merge_ready_at, cycle) +
+                       plan_->config().merge_cycles_per_input;
+  }
+  MaybeEmit(it, *role, cycle);
+}
+
+void ShardServer::MaybeEmit(std::map<uint64_t, MergeState>::iterator it,
+                            const GatherPlan::GatherRole& role,
+                            sim::Cycle cycle) {
+  if (!it->second.own_resolved ||
+      it->second.children_seen < role.expected_children) {
+    return;
+  }
+  EmitMerge(it->first, role, it->second, cycle);
+  merges_.erase(it);
+}
+
+void ShardServer::EmitMerge(uint64_t request_id,
+                            const GatherPlan::GatherRole& role, MergeState& m,
+                            sim::Cycle cycle) {
   net::Packet up;
-  up.dst = role->parent == GatherPlan::kToCoordinator
-               ? plan_->PortNode(role->port)
-               : plan_->ShardNode(role->parent);
+  up.dst = role.parent == GatherPlan::kToCoordinator
+               ? plan_->PortNode(role.port)
+               : plan_->ShardNode(role.parent);
   up.kind = net::OpKind::kOffloadResp;
   up.user = request_id;
-  up.addr = m.done_mask;
-  up.user2 = m.rejected_mask;
-  up.bytes = m.done_mask == 0 ? 0
-                              : workload_->MergedBytes(request_id, m.done_mask,
-                                                       m.concat_bytes);
+  // A reply holding only this node's own partial is that partial; folding
+  // children in is a merge, which the workload sizes.
+  const uint64_t done_mask = m.children_seen == 0 ? 0 : DoneMask(m.reply);
+  up.bytes = done_mask == 0 ? m.reply.concat_bytes()
+                            : workload_->MergedBytes(request_id, done_mask,
+                                                     m.reply.concat_bytes());
+  up.reply = std::move(m.reply);
   // The merge engine pays per child folded in; its own partial is already
   // in the pipeline, so a leaf forwards with no extra delay. Pipelined
   // merging charged each child on arrival, so only the unfinished tail of
@@ -865,24 +874,59 @@ void ShardServer::EmitMerge(uint64_t request_id, MergeState& m,
           ? std::max(cycle, m.merge_ready_at)
           : cycle + plan_->config().merge_cycles_per_input * m.children_seen;
   if (at <= cycle) {
-    endpoint_->PostPacket(up);
+    endpoint_->PostPacket(std::move(up));
   } else {
-    emits_.push_back({at, up});
+    emits_.push_back({at, std::move(up)});
   }
-  ++merges_forwarded_;
-  merges_.erase(request_id);
+  if (plan_->topology() == GatherTopology::kTree) ++merges_forwarded_;
+}
+
+bool ShardServer::Unbundle(net::Packet& bundle, sim::Cycle cycle) {
+  const GatherPlan::ScatterRole* role =
+      plan_->ScatterRoleOf(bundle.user, shard_id_);
+  if (role == nullptr) {
+    // The gather finalized (deadline expiry) and released the route;
+    // nothing in this subtree has anyone listening anymore.
+    ++stale_bundles_dropped_;
+    return false;
+  }
+  // One smaller bundle per child subtree: the NIC peels them off at a
+  // per-hop cost, no pipeline occupancy.
+  uint64_t hops = 0;
+  for (uint32_t child : role->down) {
+    const GatherPlan::ScatterRole* child_role =
+        plan_->ScatterRoleOf(bundle.user, child);
+    net::Packet fwd;
+    fwd.dst = plan_->ShardNode(child);
+    fwd.kind = net::OpKind::kScatterBundle;
+    fwd.user = bundle.user;
+    fwd.tag = child_role->tag;
+    fwd.bytes = child_role->subtree_bytes;
+    const sim::Cycle at =
+        cycle + ++hops * plan_->config().scatter_forward_cycles;
+    if (at <= cycle) {
+      endpoint_->PostPacket(std::move(fwd));
+    } else {
+      emits_.push_back({at, std::move(fwd)});
+    }
+    ++bundles_forwarded_;
+  }
+  // Our own slice, exactly as if it had arrived point-to-point.
+  bundle.kind = net::OpKind::kOffloadReq;
+  bundle.tag = role->tag;
+  bundle.bytes = role->slice_bytes;
+  return true;
 }
 
 void ShardServer::Tick(sim::Cycle cycle) {
   bool progressed = false;
-  const GatherTopology topo = topology();
 
   if (elastic_ != nullptr) TickBeacon(cycle, &progressed);
 
-  // Post merged packets whose merge-cost delay elapsed (tree gather).
+  // Post packets whose merge-cost or bundle-peel delay elapsed.
   for (size_t i = 0; i < emits_.size();) {
     if (emits_[i].at <= cycle) {
-      endpoint_->PostPacket(emits_[i].packet);
+      endpoint_->PostPacket(std::move(emits_[i].packet));
       emits_.erase(emits_.begin() + static_cast<ptrdiff_t>(i));
       progressed = true;
     } else {
@@ -890,44 +934,21 @@ void ShardServer::Tick(sim::Cycle cycle) {
     }
   }
 
-  // Retire the slice in service: its occupancy elapsed, so the reply ships
-  // (flat / switch gather) or folds into the subtree merge (tree gather).
+  // Retire the slice in service: its occupancy elapsed, so its reply entry
+  // joins the request's gather.
   if (busy_ && cycle >= done_at_) {
     busy_ = false;
     progressed = true;
-    if (topo == GatherTopology::kTree) {
-      MergeState& m = TouchMerge(pending_resp_.user, cycle);
-      m.done_mask |= 1ull << shard_id_;
-      m.concat_bytes += pending_resp_.bytes;
-      m.own_resolved = true;
-      MaybeEmit(pending_resp_.user, cycle);
-    } else {
-      endpoint_->PostPacket(pending_resp_);
-    }
+    Resolve(serving_request_, serving_, cycle);
   }
 
-  // Admit or shed request arrivals; fold child contributions (tree gather
+  // Admit or shed request arrivals; fold child replies (tree-gather
   // interior nodes) into their request's merge state.
   net::Packet p;
   while (endpoint_->PollRecv(&p)) {
     progressed = true;
     if (p.kind == net::OpKind::kOffloadResp) {
-      // Only tree-gather interior nodes receive responses: a child
-      // subtree's merged contribution.
-      if (topo != GatherTopology::kTree) continue;
-      MergeState& m = TouchMerge(p.user, cycle);
-      m.done_mask |= p.addr;
-      m.rejected_mask |= p.user2;
-      m.concat_bytes += p.bytes;
-      ++m.children_seen;
-      if (plan_->config().pipelined_merge) {
-        // The merge engine folds this child in starting now (or as soon
-        // as it finishes the previous one), overlapping the wait for the
-        // rest of the subtree.
-        m.merge_ready_at = std::max(m.merge_ready_at, cycle) +
-                           plan_->config().merge_cycles_per_input;
-      }
-      MaybeEmit(p.user, cycle);
+      FoldChild(p, cycle);
       continue;
     }
     if (p.kind == net::OpKind::kMigrateStart) {
@@ -957,107 +978,47 @@ void ShardServer::Tick(sim::Cycle cycle) {
       }
       continue;
     }
-    if (p.kind != net::OpKind::kOffloadReq) continue;
-    if ((p.addr & kScatterFlag) != 0) {
-      // A scatter-tree bundle: forward one smaller bundle per child
-      // subtree (the NIC peels them off at a per-hop cost, no pipeline
-      // occupancy), then fall through to admission with our own slice as
-      // if it had arrived point-to-point.
-      const GatherPlan::Role* role =
-          plan_ == nullptr ? nullptr : plan_->RoleOf(p.user, shard_id_);
-      if (role == nullptr) {
-        // The gather finalized (deadline expiry) and released the route;
-        // nothing in this subtree has anyone listening anymore.
-        ++stale_bundles_dropped_;
-        continue;
-      }
-      uint64_t hops = 0;
-      for (uint32_t child : role->down) {
-        const GatherPlan::Role* child_role = plan_->RoleOf(p.user, child);
-        net::Packet fwd;
-        fwd.dst = plan_->ShardNode(child);
-        fwd.kind = net::OpKind::kOffloadReq;
-        fwd.addr = kScatterFlag;
-        fwd.user = p.user;
-        fwd.tag = child_role->tag;
-        fwd.bytes = child_role->subtree_bytes;
-        const sim::Cycle at =
-            cycle + ++hops * plan_->config().scatter_forward_cycles;
-        if (at <= cycle) {
-          endpoint_->PostPacket(fwd);
-        } else {
-          emits_.push_back({at, fwd});
-        }
-        ++bundles_forwarded_;
-      }
-      // Our own slice: tag and wire size come from the role, and a
-      // flat/switch response must go to our coordinator port — exactly
-      // what src would be had the slice arrived point-to-point.
-      p.addr = 0;
-      p.tag = role->tag;
-      p.bytes = role->slice_bytes;
-      p.src = plan_->PortNode(plan_->PortOf(shard_id_));
+    if (p.kind == net::OpKind::kScatterBundle) {
+      if (!Unbundle(p, cycle)) continue;
+    } else if (p.kind != net::OpKind::kOffloadReq &&
+               p.kind != net::OpKind::kOffloadFwd) {
+      continue;
     }
     if (queue_.size() >= config_.max_queue) {
+      // Shed: the rejection is this slice's reply entry.
       ++rejected_;
-      if (topo == GatherTopology::kTree) {
-        // The rejection rides up the tree in the mask; the node still
-        // merges and forwards its children's results.
-        MergeState& m = TouchMerge(p.user, cycle);
-        m.rejected_mask |= 1ull << shard_id_;
-        m.own_resolved = true;
-        MaybeEmit(p.user, cycle);
-      } else {
-        net::Packet busy_resp;
-        // A forwarded slice answers the coordinator that issued it, not the
-        // peer server that handed it over.
-        busy_resp.dst = (p.addr & kForwardFlag) != 0
-                            ? static_cast<uint32_t>(p.user2)
-                            : p.src;
-        busy_resp.kind = net::OpKind::kOffloadResp;
-        busy_resp.tag = p.tag;
-        busy_resp.user = p.user;
-        if (topo == GatherTopology::kSwitch) {
-          busy_resp.user2 = 1ull << shard_id_;  // merged-form rejected mask
-        } else {
-          busy_resp.user2 = 1;  // admission-rejected
-        }
-        endpoint_->PostPacket(busy_resp);
-      }
+      net::GatherReply::Entry busy;
+      busy.tag = p.tag;
+      busy.shard = SliceShard(p);
+      busy.rejected = true;
+      Resolve(p.user, busy, cycle);
     } else {
-      queue_.push_back(p);
+      queue_.push_back(std::move(p));
       queue_hwm_ = std::max(queue_hwm_, queue_.size());
     }
   }
 
   // Start the next slice.
   if (!busy_ && !queue_.empty()) {
-    const net::Packet req = queue_.front();
+    const net::Packet req = std::move(queue_.front());
     queue_.pop_front();
-    // A forwarded slice carries its original shard in addr and the issuing
-    // coordinator node in user2 (PostPacket overwrote src with the peer's).
-    uint32_t slice_shard = shard_id_;
-    uint32_t coord_node = req.src;
-    if ((req.addr & kForwardFlag) != 0) {
-      slice_shard = static_cast<uint32_t>(req.addr & ~kForwardFlag);
-      coord_node = static_cast<uint32_t>(req.user2);
-    }
+    const uint32_t slice_shard = SliceShard(req);
     // Ownership is decided at serve start, not arrival: a slice that sat
     // queued across a migration flip is handed to the new owner instead of
-    // served from state that just moved away.
+    // served from state that just moved away. (Migrations run under flat
+    // gather only.)
     uint32_t owner = slice_shard;
-    if (elastic_ != nullptr && topo == GatherTopology::kFlat) {
+    if (elastic_ != nullptr && plan_->topology() == GatherTopology::kFlat) {
       owner = workload_->SliceOwner(slice_shard, req.user);
     }
     if (owner != shard_id_) {
       net::Packet fwd;
       fwd.dst =
           plan_->ReplicaNode(owner, elastic_->replicas.Primary(owner));
-      fwd.kind = net::OpKind::kOffloadReq;
+      fwd.kind = net::OpKind::kOffloadFwd;
       fwd.tag = req.tag;
       fwd.user = req.user;
-      fwd.addr = kForwardFlag | slice_shard;
-      fwd.user2 = coord_node;
+      fwd.user2 = slice_shard;
       fwd.bytes = req.bytes;
       endpoint_->PostPacket(fwd);
       ++forwarded_;
@@ -1073,19 +1034,12 @@ void ShardServer::Tick(sim::Cycle cycle) {
       if (serve_log_ != nullptr) {
         serve_log_->push_back({cycle, req.user, slice_shard});
       }
-      pending_resp_ = net::Packet{};
-      pending_resp_.kind = net::OpKind::kOffloadResp;
-      pending_resp_.user = req.user;
-      pending_resp_.bytes = svc.response_bytes;
-      if (topo == GatherTopology::kFlat) {
-        pending_resp_.dst = coord_node;
-        pending_resp_.tag = req.tag;
-        pending_resp_.user2 = cycles_needed << 1;  // bit 0 clear = served
-      } else if (topo == GatherTopology::kSwitch) {
-        pending_resp_.dst = req.src;
-        pending_resp_.addr = 1ull << shard_id_;  // merged-form done mask
-      }
-      // Tree gather: the destination (parent or port) is resolved at emit.
+      serving_request_ = req.user;
+      serving_ = net::GatherReply::Entry{};
+      serving_.tag = req.tag;
+      serving_.shard = slice_shard;
+      serving_.service_cycles = cycles_needed;
+      serving_.own_bytes = svc.response_bytes;
       progressed = true;
     }
   }
@@ -1093,13 +1047,21 @@ void ShardServer::Tick(sim::Cycle cycle) {
   // Force partial forwards whose merge timeout expired: a dead child costs
   // its subtree, never the ancestors (tree gather on a lossy fabric).
   for (auto it = merges_.begin(); it != merges_.end();) {
-    const uint64_t request_id = it->first;
-    MergeState& m = it->second;
-    ++it;  // EmitMerge erases the entry
-    if (m.timeout_at == 0 || cycle < m.timeout_at) continue;
+    const auto expired = it++;
+    if (expired->second.timeout_at == 0 || cycle < expired->second.timeout_at) {
+      continue;
+    }
     ++merge_timeouts_;
-    EmitMerge(request_id, m, cycle);
     progressed = true;
+    const uint64_t request_id = expired->first;
+    const std::optional<GatherPlan::GatherRole> role =
+        plan_->GatherRoleOf(request_id, shard_id_);
+    if (role.has_value()) {
+      EmitMerge(request_id, *role, expired->second, cycle);
+    } else {
+      ++stale_merges_dropped_;
+    }
+    merges_.erase(expired);
   }
 
   // Stream the next paced migration chunk (source primary only).
@@ -1168,7 +1130,7 @@ void ShardServer::ExportCustomMetrics(obs::MetricsRegistry& registry) const {
       ->Set(static_cast<double>(service_cycles_));
   registry.GetGauge(base + ".queue_hwm")
       ->Set(static_cast<double>(queue_hwm_));
-  if (plan_ != nullptr && plan_->topology() == GatherTopology::kTree) {
+  if (plan_->topology() == GatherTopology::kTree) {
     registry.GetGauge(base + ".merges_forwarded")
         ->Set(static_cast<double>(merges_forwarded_));
     registry.GetGauge(base + ".merge_timeouts")
@@ -1176,7 +1138,7 @@ void ShardServer::ExportCustomMetrics(obs::MetricsRegistry& registry) const {
     registry.GetGauge(base + ".stale_merges_dropped")
         ->Set(static_cast<double>(stale_merges_dropped_));
   }
-  if (plan_ != nullptr && plan_->config().scatter == ScatterMode::kTree) {
+  if (plan_->config().scatter == ScatterMode::kTree) {
     registry.GetGauge(base + ".bundles_forwarded")
         ->Set(static_cast<double>(bundles_forwarded_));
     registry.GetGauge(base + ".stale_bundles_dropped")
@@ -1215,9 +1177,9 @@ ShardCluster::ShardCluster(Workload* workload, const Config& config)
     net::AggregatingSwitch::Config sc;
     sc.combine_cycles_per_resp = config_.gather.switch_combine_cycles;
     agg_switch_ = std::make_unique<net::AggregatingSwitch>(
-        sc, [workload](uint64_t request_id, uint64_t done_mask,
-                       uint64_t concat_bytes) {
-          return workload->MergedBytes(request_id, done_mask, concat_bytes);
+        sc, [workload](uint64_t request_id, const net::GatherReply& folded) {
+          return workload->MergedBytes(request_id, DoneMask(folded),
+                                       folded.concat_bytes());
         });
     fabric_.set_agg_switch(agg_switch_.get());
   }

@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -178,14 +179,14 @@ class Workload {
 /// the gather deadline, and finalizes each request into a PartialOutcome
 /// (merging via Workload::Merge).
 ///
-/// The GatherPlan names the response path. Flat gather keeps the historical
-/// per-slice protocol (one tagged response per shard). Tree and switch
-/// gather receive merged-form responses — `user` = request id, `addr` =
-/// done-shard mask, `user2` = rejected-shard mask — one per subtree root or
-/// switch combine group; rejections ride up in the mask instead of as
-/// separate busy replies, and the per-shard service EWMA is not updated
-/// (per-slice timing is aggregated away; configure the initial estimates
-/// when combining merged gather with deadline-feasibility admission).
+/// Every topology speaks one reply protocol: a kOffloadResp carries a
+/// net::GatherReply record with one entry per slice it answers (tag, shard,
+/// rejected, service cycles, own bytes). Flat gather delivers one shard's
+/// own record per packet; tree interior shards and switch combiners fold
+/// records together first. The coordinator resolves each entry through its
+/// tag, so late or stale entries (a finalized gather, a tag retired by a
+/// failover replay) are counted as late the same way everywhere, and every
+/// served entry trains the per-shard service EWMA and the wire floor.
 ///
 /// Failure semantics: a slice resolves kFailed when the endpoint's retry
 /// cap expires (dead shard or dead link — lossy fabric only), kRejected
@@ -298,9 +299,10 @@ class ShardCoordinator : public sim::Module {
   /// Uncongested wire round-trip estimate (min observed rtt - service).
   uint64_t wire_estimate() const { return wire_est_; }
   /// Mean request-slice wire bytes over everything enqueued so far, and
-  /// mean per-slice response payload over flat-gather responses observed
-  /// so far (0 before the first observation). The topology planner reads
-  /// these after a flat probe run to size its wire-cost terms.
+  /// mean per-slice response payload (each served entry's own bytes) over
+  /// the replies observed so far (0 before the first observation). The
+  /// topology planner reads these after a flat probe run to size its
+  /// wire-cost terms.
   uint64_t avg_request_bytes() const {
     return req_slices_ == 0 ? 0 : req_bytes_total_ / req_slices_;
   }
@@ -394,13 +396,11 @@ class ShardCoordinator : public sim::Module {
   /// slice of `root_role`'s subtree as sent at `cycle` (they ride the
   /// bundle; none of them is windowed).
   void MarkSubtreeSent(Active& a, uint64_t request_id,
-                       const GatherPlan::Role& root_role, sim::Cycle cycle);
-  /// Resolves the slices a merged-form response's masks cover (tree and
-  /// switch gather).
-  void HandleMergedResponse(const net::Packet& p, sim::Cycle cycle);
-  bool merged_responses() const {
-    return plan_->topology() != GatherTopology::kFlat;
-  }
+                       const GatherPlan::ScatterRole& root_role,
+                       sim::Cycle cycle);
+  /// Resolves every slice a reply record answers, through tag_map_; an
+  /// entry whose tag is gone counts as late.
+  void HandleReply(const net::Packet& p, sim::Cycle cycle);
 
   Workload* workload_;
   std::vector<net::RdmaEndpoint*> endpoints_;
@@ -453,24 +453,23 @@ class ShardCoordinator : public sim::Module {
 };
 
 /// One simulated FPGA instance serving its shard of the workload, at fabric
-/// node ports + shard_id. Sub-requests arrive as kOffloadReq packets; each
-/// is either admitted into a bounded queue or immediately answered "busy",
-/// so an overloaded shard sheds load instead of stalling the cluster. The
-/// pipeline serves one slice at a time: Workload::Serve names the
-/// occupancy, and the response ships when it elapses.
+/// node ports + shard_id. Slices arrive as kOffloadReq packets (kOffloadFwd
+/// when a peer hands over a migrated slice, kScatterBundle under tree
+/// scatter); each is either admitted into a bounded queue or immediately
+/// answered "busy", so an overloaded shard sheds load instead of stalling
+/// the cluster. The pipeline serves one slice at a time: Workload::Serve
+/// names the occupancy, and the reply ships when it elapses.
 ///
-/// Flat-gather response wire encoding (user2): bit 0 set =
-/// admission-rejected ("busy"); otherwise user2 >> 1 carries the slice's
-/// service cycles, which the coordinator folds into its per-shard service
-/// estimate for deadline-feasibility admission.
-///
-/// Under tree gather the server doubles as an interior merge node: its own
-/// result and its children's merged contributions (arriving as merged-form
-/// kOffloadResp packets) fold into one upstream packet per request, emitted
-/// after the plan's per-input merge cost — and, on a lossy fabric, after at
-/// most the merge timeout, so a silent child costs its subtree but not the
-/// ancestors. Under switch gather the server just replies in merged form
-/// (single-shard masks); the combining happens in-fabric.
+/// A served or rejected slice becomes one net::GatherReply entry, and the
+/// server has one path for it under every topology: the entry folds into
+/// the request's merge state together with any child replies, and the
+/// record ships to the slice's gather parent once the plan's expected
+/// children have arrived. Flat and switch gather are the depth-1 case (no
+/// children: the reply ships at once, without a merge state; the switch
+/// combines in-fabric). Under tree gather an interior node emits after the
+/// plan's per-input merge cost — and, on a lossy fabric, after at most the
+/// merge timeout, so a silent child costs its subtree but not the
+/// ancestors.
 class ShardServer : public sim::Module {
  public:
   struct Config {
@@ -479,11 +478,11 @@ class ShardServer : public sim::Module {
     uint32_t max_queue = 16;
   };
 
-  /// `plan` may be null for standalone use: flat gather, coordinator at
-  /// node 0. `replica_index` places this server as replica r of its shard
-  /// (fabric node plan->ReplicaNode(shard_id, r)); `elastic` is the
-  /// cluster's shared replica/migration state — null disables beacons,
-  /// forwarding, and migration streaming (the historical server).
+  /// `plan` (never null) routes replies and bundles. `replica_index` places
+  /// this server as replica r of its shard (fabric node
+  /// plan->ReplicaNode(shard_id, r)); `elastic` is the cluster's shared
+  /// replica/migration state — null disables beacons, forwarding, and
+  /// migration streaming (the historical server).
   ShardServer(std::string name, uint32_t shard_id, Workload* workload,
               net::RdmaEndpoint* endpoint, const GatherPlan* plan,
               const Config& config, uint32_t replica_index = 0,
@@ -503,9 +502,9 @@ class ShardServer : public sim::Module {
   uint64_t service_cycles() const { return service_cycles_; }
   size_t queue_high_watermark() const { return queue_hwm_; }
   uint32_t shard_id() const { return shard_id_; }
-  /// Tree gather: merged packets forwarded upstream, partial forwards
-  /// forced by the merge timeout, and orphaned merge states dropped
-  /// because the gather had already finalized.
+  /// Tree gather: replies forwarded up the tree, partial forwards forced
+  /// by the merge timeout, and orphaned merge states dropped because the
+  /// gather had already finalized.
   uint64_t merges_forwarded() const { return merges_forwarded_; }
   uint64_t merge_timeouts() const { return merge_timeouts_; }
   uint64_t stale_merges_dropped() const { return stale_merges_dropped_; }
@@ -541,9 +540,7 @@ class ShardServer : public sim::Module {
  private:
   /// Accumulating merge state for one request's subtree (tree gather).
   struct MergeState {
-    uint64_t done_mask = 0;
-    uint64_t rejected_mask = 0;
-    uint64_t concat_bytes = 0;
+    net::GatherReply reply;  ///< Own entry plus every child's, folded.
     uint32_t children_seen = 0;
     bool own_resolved = false;
     sim::Cycle timeout_at = 0;  ///< 0 = no timeout armed.
@@ -551,22 +548,38 @@ class ShardServer : public sim::Module {
     /// contribution accepted so far (each child charged on arrival).
     sim::Cycle merge_ready_at = 0;
   };
-  /// A merged packet waiting out its merge-cost delay before posting.
+  /// A reply waiting out its merge-cost delay, or a bundle its peel delay,
+  /// before posting.
   struct PendingEmit {
     sim::Cycle at = 0;
     net::Packet packet;
   };
 
-  GatherTopology topology() const {
-    return plan_ == nullptr ? GatherTopology::kFlat : plan_->topology();
-  }
-  /// Folds one contribution into the request's merge state (creating it,
-  /// and arming its timeout, on first touch).
-  MergeState& TouchMerge(uint64_t request_id, sim::Cycle cycle);
-  /// Emits the merged packet if the subtree is complete.
-  void MaybeEmit(uint64_t request_id, sim::Cycle cycle);
-  /// Builds and schedules the upstream merged packet, then drops the state.
-  void EmitMerge(uint64_t request_id, MergeState& m, sim::Cycle cycle);
+  /// The scatter shard of a slice request: a forwarded slice carries it,
+  /// every other slice is this server's own.
+  uint32_t SliceShard(const net::Packet& request) const;
+  /// `request_id`'s gather role for `shard`'s slice; when the route is
+  /// gone, counts the stale contribution and drops any merge state.
+  std::optional<GatherPlan::GatherRole> LiveRole(uint64_t request_id,
+                                                 uint32_t shard);
+  /// Opens a request's merge state, arming its merge timeout.
+  std::map<uint64_t, MergeState>::iterator NewMerge(uint64_t request_id,
+                                                    sim::Cycle cycle);
+  /// The one retire and reject path: this server's own entry for a slice
+  /// joins the request's gather (shipping at once when depth-1).
+  void Resolve(uint64_t request_id, const net::GatherReply::Entry& own,
+               sim::Cycle cycle);
+  /// Folds a child subtree's reply into the request's merge state.
+  void FoldChild(const net::Packet& child, sim::Cycle cycle);
+  /// Emits and drops the merge state if the subtree is complete.
+  void MaybeEmit(std::map<uint64_t, MergeState>::iterator it,
+                 const GatherPlan::GatherRole& role, sim::Cycle cycle);
+  /// Builds and schedules the reply to `role`'s parent from `m`'s record.
+  void EmitMerge(uint64_t request_id, const GatherPlan::GatherRole& role,
+                 MergeState& m, sim::Cycle cycle);
+  /// Forwards a scatter bundle's child bundles and turns `bundle` into
+  /// this server's own slice request; false when the route is gone.
+  bool Unbundle(net::Packet& bundle, sim::Cycle cycle);
   /// Posts the periodic liveness beacon when elastic beacons are on.
   void TickBeacon(sim::Cycle cycle, bool* progressed);
   /// Streams the next paced migration chunk when this server is a source.
@@ -586,7 +599,8 @@ class ShardServer : public sim::Module {
   std::deque<net::Packet> queue_;
   bool busy_ = false;
   sim::Cycle done_at_ = 0;
-  net::Packet pending_resp_;
+  uint64_t serving_request_ = 0;
+  net::GatherReply::Entry serving_;  ///< The slice in service's reply entry.
   std::map<uint64_t, MergeState> merges_;  ///< By request id (tree gather).
   std::vector<PendingEmit> emits_;
 
@@ -633,7 +647,8 @@ class ShardCluster {
     net::RdmaEndpoint::Reliability reliability;
     /// Elastic operations: replication factor, health beacons, promotion
     /// penalty. The defaults (R=1, no beacons) reproduce the historical
-    /// cluster bit-for-bit. R > 1 or migrations require flat gather.
+    /// cluster bit-for-bit. R > 1 requires a flat gather (ValidateGather);
+    /// migrations require flat gather with unicast scatter.
     ReplicaConfig replica;
   };
 

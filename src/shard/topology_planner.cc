@@ -184,8 +184,7 @@ PlannerInputs HarvestPlannerInputs(const ShardCoordinator& coord,
   // BOTH directions — each served slice crossed the egress once (request)
   // and the ingress once (response); a request-heavy mix (fat multi-get
   // slices) is just as wire-bound as a response-heavy one. NOT the
-  // fabric's rx-busy gauge, which counts propagation latency and
-  // saturates even when the port's line rate is mostly idle.
+  // fabric's rx-busy gauge, which sees the ingress direction only.
   const uint64_t ser =
       coord.responses_observed() *
       (TopologyPlanner::WireCycles(in, in.response_bytes) +

@@ -294,8 +294,8 @@ FabricRunState RunSeededFabric(uint64_t seed, sim::Scheduling scheduling) {
   fc.flap_down_cycles = 500;
   FaultInjector injector(fc);
   AggregatingSwitch agg(AggregatingSwitch::Config{},
-                        [](uint64_t, uint64_t, uint64_t concat) {
-                          return concat / 2 + 8;
+                        [](uint64_t, const GatherReply& folded) {
+                          return folded.concat_bytes() / 2 + 8;
                         });
   fab.set_fault_injector(&injector);
   fab.set_agg_switch(&agg);
@@ -311,9 +311,8 @@ FabricRunState RunSeededFabric(uint64_t seed, sim::Scheduling scheduling) {
   }
   injector.Schedule({rng.NextBounded(6000), 0, 1, FaultKind::kLinkFlap,
                      int(OpKind::kSend)});
-  const uint64_t all_senders = (uint64_t{1} << kIncastPort) - 1;
   for (uint32_t g = 0; g < kAggGroups; ++g) {
-    agg.Arm(g, kIncastPort, all_senders);
+    agg.Arm(g, kIncastPort, /*members=*/kIncastPort);  // every other node
   }
 
   std::vector<std::unique_ptr<ScheduledSender>> senders;
@@ -356,8 +355,12 @@ FabricRunState RunSeededFabric(uint64_t seed, sim::Scheduling scheduling) {
         p.dst = kIncastPort;
         p.kind = OpKind::kOffloadResp;
         p.user = g;
-        p.addr = uint64_t{1} << n;
         p.bytes = 64 + rng.NextBounded(2048);
+        GatherReply::Entry entry;
+        entry.tag = n;
+        entry.shard = n;
+        entry.own_bytes = p.bytes;
+        p.reply.Add(entry);
         p.seq = 1000 + g;
         sched.emplace_back(500 + g * 900 + rng.NextBounded(400), p);
       }

@@ -316,10 +316,10 @@ TEST(TraceTest, IncastDepthAndPortOccupancyPinnedForFourToOne) {
     EXPECT_EQ(fabric.rx_busy_cycles(src), 0u) << "src " << src;
   }
   EXPECT_EQ(fabric.tx_busy_cycles(4), 0u);
-  // rx occupancy uses reservation semantics: the port counts busy from the
-  // pickup tick (cycle 1) through its reserved horizon — the 200-cycle wire
-  // lead time plus four back-to-back serializations.
-  EXPECT_EQ(fabric.rx_busy_cycles(4), 1u + 200u + 4 * kSer);
+  // rx occupancy counts only serialization: the port is idle while the
+  // packets cross the 200-cycle wire, then busy for four back-to-back
+  // serializations.
+  EXPECT_EQ(fabric.rx_busy_cycles(4), 4 * kSer);
   // Deliveries are spaced by exactly one rx serialization: the port, not
   // the wire, is the bottleneck — the fan-in wall in one assertion.
   ASSERT_EQ(delivery_cycles.size(), 4u);

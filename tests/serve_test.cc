@@ -282,32 +282,60 @@ TEST(AdmissionTest, HeadroomTightensTheBudget) {
 }
 
 TEST(AdmissionTest, ServedSlicesReleaseBacklogAndTrainTheEstimator) {
-  SyntheticWorkload::Config wc;
-  wc.num_shards = 1;
-  wc.jitter_pct = 0;
-  SyntheticWorkload wl(wc);
-  shard::ShardCluster::Config cc;
-  cc.num_shards = 1;
-  cc.coordinator.admission = shard::AdmissionPolicy::kDeadlineFeasible;
-  cc.coordinator.initial_service_estimate_cycles = 64;
-  shard::ShardCluster cluster(&wl, cc);
-  auto& coord = cluster.coordinator();
-  const uint64_t before = coord.service_estimate(0);
-  EXPECT_EQ(before, 64u);
-  ASSERT_TRUE(coord.TrySubmit(wl.AddRequest(500), OneSlice(0, 500), 0,
-                              1u << 20));
-  ASSERT_TRUE(cluster.Run().ok());
-  shard::PartialOutcome out;
-  ASSERT_TRUE(cluster.PollOutcome(&out));
-  EXPECT_TRUE(out.status.ok());
-  EXPECT_EQ(coord.queued_cost(0), 0u);  // backlog released on resolve
-  // One EWMA step toward the observed 500-cycle service moved the estimate
-  // up, and the response replaced the configured wire guess with the
-  // measured round-trip-minus-service.
-  EXPECT_GT(coord.service_estimate(0), before);
-  EXPECT_GT(coord.wire_estimate(), 0u);
-  EXPECT_NE(coord.wire_estimate(),
-            shard::ShardCoordinator::Config{}.initial_wire_estimate_cycles);
+  // Every gather topology answers with the same reply record, so every one
+  // trains the estimator — including tree gather (shard 1 replies through
+  // interior shard 0) and switch gather (both replies combine in-fabric),
+  // under unicast and tree scatter alike.
+  struct Case {
+    const char* name;
+    shard::GatherTopology topology;
+    shard::ScatterMode scatter;
+  };
+  const Case cases[] = {
+      {"flat", shard::GatherTopology::kFlat, shard::ScatterMode::kUnicast},
+      {"tree", shard::GatherTopology::kTree, shard::ScatterMode::kUnicast},
+      {"switch", shard::GatherTopology::kSwitch,
+       shard::ScatterMode::kUnicast},
+      {"flat+scatter", shard::GatherTopology::kFlat, shard::ScatterMode::kTree},
+      {"tree+scatter", shard::GatherTopology::kTree, shard::ScatterMode::kTree},
+      {"switch+scatter", shard::GatherTopology::kSwitch,
+       shard::ScatterMode::kTree},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SyntheticWorkload::Config wc;
+    wc.num_shards = 2;
+    wc.jitter_pct = 0;
+    SyntheticWorkload wl(wc);
+    shard::ShardCluster::Config cc;
+    cc.num_shards = 2;
+    cc.gather.topology = c.topology;
+    cc.gather.scatter = c.scatter;
+    cc.coordinator.admission = shard::AdmissionPolicy::kDeadlineFeasible;
+    cc.coordinator.initial_service_estimate_cycles = 64;
+    shard::ShardCluster cluster(&wl, cc);
+    auto& coord = cluster.coordinator();
+    for (uint32_t s = 0; s < 2; ++s) EXPECT_EQ(coord.service_estimate(s), 64u);
+    std::vector<shard::SubRequest> subs = OneSlice(0, 500);
+    subs.push_back(OneSlice(1, 500).front());
+    ASSERT_TRUE(coord.TrySubmit(wl.AddRequest(500), subs, 0, 1u << 20));
+    ASSERT_TRUE(cluster.Run().ok());
+    shard::PartialOutcome out;
+    ASSERT_TRUE(cluster.PollOutcome(&out));
+    EXPECT_TRUE(out.status.ok());
+    // One EWMA step toward each observed ~500-cycle service moved both
+    // estimates up, the backlog was released on resolve, and the replies
+    // replaced the configured wire guess with the measured
+    // round-trip-minus-service.
+    for (uint32_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(coord.queued_cost(s), 0u) << "shard " << s;
+      EXPECT_GT(coord.service_estimate(s), 64u) << "shard " << s;
+    }
+    EXPECT_EQ(coord.responses_observed(), 2u);
+    EXPECT_GT(coord.wire_estimate(), 0u);
+    EXPECT_NE(coord.wire_estimate(),
+              shard::ShardCoordinator::Config{}.initial_wire_estimate_cycles);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -299,37 +299,61 @@ TEST(ShardFailureTest, DeadShardDegradesToPartialOutcome) {
 }
 
 TEST(ShardFailureTest, StragglerTimesOutAndLateResponseIsCounted) {
-  TestWorkload wl(2, 100);
-  ShardCluster::Config cc;
-  cc.num_shards = 2;
-  cc.coordinator.gather_deadline_cycles = 20000;
-  // No retransmissions: the delayed response must arrive late, not be
-  // raced by a retransmitted copy.
-  cc.reliability.rto_cycles = 1u << 30;
-  ShardCluster cluster(&wl, cc);
+  // One port, two shards. The delayed packet pays a 200k-cycle spike — far
+  // past the gather deadline — and carries one reply entry under flat
+  // gather (shard 1's own) but both under tree gather (interior shard 0's
+  // merge) and switch gather (the combiner holds its group for shard 1's
+  // delayed contribution). Every entry of a reply that lands after its
+  // gather finalized counts as late, and none resolves a slice again.
+  struct Case {
+    const char* name;
+    GatherTopology topology;
+    uint32_t delayed_src;  ///< Fabric node whose response is delayed.
+    SubOutcome shard0;
+    uint64_t late;
+  };
+  const Case cases[] = {
+      {"flat", GatherTopology::kFlat, 2, SubOutcome::kDone, 1},
+      {"tree", GatherTopology::kTree, 1, SubOutcome::kTimedOut, 2},
+      {"switch", GatherTopology::kSwitch, 2, SubOutcome::kTimedOut, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TestWorkload wl(2, 100);
+    ShardCluster::Config cc;
+    cc.num_shards = 2;
+    cc.gather.topology = c.topology;
+    cc.gather.merge_timeout_cycles = 1000;  // a lossy tree needs one
+    cc.coordinator.gather_deadline_cycles = 20000;
+    // No retransmissions: the delayed response must arrive late, not be
+    // raced by a retransmitted copy.
+    cc.reliability.rto_cycles = 1u << 30;
+    ShardCluster cluster(&wl, cc);
 
-  // Shard 1's first offload *response* pays a 200k-cycle delay spike —
-  // well past the gather deadline. The op filter spares the RDMA ACKs.
-  net::FaultInjector::Config fc;
-  fc.delay_spike_cycles = 200000;
-  net::FaultInjector injector(fc);
-  injector.Schedule({0, /*src=*/2, /*dst=*/0, net::FaultKind::kDelay,
-                     int(net::OpKind::kOffloadResp)});
-  cluster.set_fault_injector(&injector);
+    net::FaultInjector::Config fc;
+    fc.delay_spike_cycles = 200000;
+    net::FaultInjector injector(fc);
+    // The op filter spares the RDMA ACKs.
+    injector.Schedule({0, c.delayed_src, /*dst=*/0, net::FaultKind::kDelay,
+                       int(net::OpKind::kOffloadResp)});
+    cluster.set_fault_injector(&injector);
 
-  cluster.Submit(1);
-  ASSERT_TRUE(cluster.Run().ok());
+    cluster.Submit(1);
+    ASSERT_TRUE(cluster.Run().ok());
 
-  PartialOutcome out;
-  ASSERT_TRUE(cluster.PollOutcome(&out));
-  EXPECT_TRUE(out.degraded());
-  EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
-  for (const auto& slice : out.slices) {
-    EXPECT_EQ(slice.outcome,
-              slice.shard == 1 ? SubOutcome::kTimedOut : SubOutcome::kDone);
+    PartialOutcome out;
+    ASSERT_TRUE(cluster.PollOutcome(&out));
+    EXPECT_FALSE(cluster.PollOutcome(&out));  // finalized exactly once
+    EXPECT_EQ(cluster.coordinator().gathers_completed(), 1u);
+    EXPECT_TRUE(out.degraded());
+    EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
+    for (const auto& slice : out.slices) {
+      EXPECT_EQ(slice.outcome,
+                slice.shard == 1 ? SubOutcome::kTimedOut : c.shard0);
+    }
+    // The delayed reply eventually arrived for a gather already gone.
+    EXPECT_EQ(cluster.coordinator().late_responses(), c.late);
   }
-  // The delayed response eventually arrived for a gather already gone.
-  EXPECT_EQ(cluster.coordinator().late_responses(), 1u);
 }
 
 TEST(ShardFailureTest, OverloadedShardShedsInsteadOfStalling) {
