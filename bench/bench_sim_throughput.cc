@@ -253,8 +253,8 @@ RunResult RunRdmaRetrans(size_t msgs_per_pair, const Mode& mode) {
     eps.push_back(std::make_unique<net::RdmaEndpoint>(
         "ep" + std::to_string(node), node, &fabric, rel));
   }
-  // Pre-post everything so the run needs no driver module: the whole
-  // scenario is event-safe and both engines can sleep between timers.
+  // Pre-post everything so the run needs no driver module: under the event
+  // scheduler every module sleeps on its hint between timers.
   for (uint32_t p = 0; p < kPairs; ++p) {
     for (size_t i = 0; i < msgs_per_pair; ++i) {
       eps[2 * p]->PostWrite(2 * p + 1, i * 64, /*bytes=*/256, /*tag=*/i);

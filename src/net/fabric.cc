@@ -155,7 +155,6 @@ Fabric::Fabric(std::string name, uint32_t num_nodes, const Config& config)
     egress_.back()->BindConsumer(this);
     ingress_.back()->BindProducer(this);
   }
-  SetEventSafe();
 }
 
 sim::Cycle Fabric::NextEventCycle(sim::Cycle now) const {
@@ -176,9 +175,9 @@ void Fabric::AttributeSkip(sim::Cycle from, sim::Cycle to) {
   // the per-port accounting a skip needs.
   Cover(from);
   covered_to_ = to;
-  // The serial ticks mark busy while anything is in flight (on the wire,
-  // in receive serialization, or held in a switch combiner) and idle
-  // otherwise.
+  // The reference loop's ticks mark busy while anything is in flight (on
+  // the wire, in receive serialization, or held in a switch combiner) and
+  // idle otherwise.
   if (!Idle()) MarkBusyN(to - from);
 }
 

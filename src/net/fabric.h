@@ -223,8 +223,8 @@ class FaultInjector {
 
   /// Earliest cycle strictly after `now` at which an unfired scheduled
   /// entry arms, or sim::kNoEventCycle if none. Entries latch on packet
-  /// pickup, so this only bounds fast-forwarding (the fabric must be awake
-  /// at the arming cycle); it never fires anything by itself.
+  /// pickup, so this only bounds the fabric's event hint (the fabric must
+  /// be awake at the arming cycle); it never fires anything by itself.
   sim::Cycle NextScheduledCycle(sim::Cycle now) const;
 
   uint64_t fault_count(FaultKind kind) const {

@@ -30,11 +30,10 @@ RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric,
   // endpoints gives the event scheduler its stream wake edges.
   fabric_->egress(node_id_).BindProducer(this);
   fabric_->ingress(node_id_).BindConsumer(this);
-  // Event-safe: NextEventCycle covers posted work and retransmission
+  // Event contract: NextEventCycle covers posted work and retransmission
   // timers, the ingress bind covers arrivals, and Post* self-wakes. A
   // skipped endpoint has an empty outbox, no pending arrivals, and no
-  // timer due — cycles the serial tick would have spent idle.
-  SetEventSafe();
+  // timer due — cycles the reference loop's ticks would have spent idle.
 }
 
 RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric)
@@ -43,8 +42,8 @@ RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric)
 void RdmaEndpoint::NotifyDelivery() {
   // Called immediately BEFORE a completion or received message is queued,
   // so an event-driven settle of the listener attributes its skipped
-  // cycles against the pre-delivery queue state (the state every serial
-  // tick in that gap would have observed).
+  // cycles against the pre-delivery queue state (the state every
+  // reference-loop tick in that gap would have observed).
   if (listener_ != nullptr) listener_->WakeUp();
 }
 

@@ -55,6 +55,7 @@ TcpStack::TcpStack(std::string name, uint32_t node_id, Fabric* fabric)
 void TcpStack::Connect(uint32_t peer) {
   Connection& c = Conn(peer);
   if (c.established || c.syn_sent || c.failed) return;
+  WakeUp();  // the last tick's hint did not cover this SYN
   c.syn_sent = true;  // SYN goes out on the next Tick
 }
 
@@ -64,6 +65,7 @@ bool TcpStack::Connected(uint32_t peer) const {
 }
 
 void TcpStack::Send(uint32_t peer, uint64_t bytes) {
+  WakeUp();  // the last tick's hint did not cover these bytes
   Connect(peer);
   Conn(peer).tx_pending += bytes;
 }

@@ -93,7 +93,8 @@ class TcpStack : public sim::Module {
 
   /// Deferred ACKs/retransmits and sendable data ship next tick; armed
   /// SYN/segment timers (lossy mode) report their earliest deadline;
-  /// everything else is reactive (waiting on arrivals).
+  /// everything else is reactive (waiting on arrivals). Connect() and
+  /// Send() wake the stack, since callers mutate it outside its Tick.
   sim::Cycle NextEventCycle(sim::Cycle now) const override;
 
   uint32_t node_id() const { return node_id_; }

@@ -43,6 +43,9 @@ ShardCoordinator::ShardCoordinator(std::string name, Workload* workload,
       num_shards_(num_shards), config_(config), elastic_(elastic) {
   FPGADP_CHECK(workload_ != nullptr);
   FPGADP_CHECK(plan_ != nullptr);
+  FPGADP_CHECK(elastic_ != nullptr);
+  FPGADP_CHECK(elastic_->replicas.num_shards() == num_shards);
+  FPGADP_CHECK(elastic_->replicas.replication_factor() == plan_->replicas());
   FPGADP_CHECK(endpoints_.size() == plan_->ports());
   for (net::RdmaEndpoint* ep : endpoints_) FPGADP_CHECK(ep != nullptr);
   FPGADP_CHECK((agg_switch_ != nullptr) ==
@@ -51,12 +54,11 @@ ShardCoordinator::ShardCoordinator(std::string name, Workload* workload,
   FPGADP_CHECK(config_.window > 0);
   FPGADP_CHECK(config_.feasibility_headroom_pct > 0 &&
                config_.feasibility_headroom_pct <= 100);
-  // Event-safe: NextEventCycle covers queued slices, gather and beacon
+  // Event contract: NextEventCycle covers queued slices, gather and beacon
   // deadlines; the endpoints wake the coordinator on every delivery; and
   // ingress (Submit / TrySubmit via Enqueue) self-wakes. A skipped window
   // is a run of no-progress ticks, which AttributeSkip reproduces.
   for (net::RdmaEndpoint* ep : endpoints_) ep->SetWakeListener(this);
-  SetEventSafe();
   shard_queue_.resize(num_shards_);
   in_flight_.assign(num_shards_, 0);
   queue_hwm_.assign(num_shards_, 0);
@@ -65,11 +67,6 @@ ShardCoordinator::ShardCoordinator(std::string name, Workload* workload,
   pending_cost_.assign(num_shards_, 0);
   wire_est_ = config_.initial_wire_estimate_cycles;
   promo_until_.assign(num_shards_, 0);
-  if (elastic_ != nullptr) {
-    FPGADP_CHECK(elastic_->replicas.num_shards() == num_shards_);
-    FPGADP_CHECK(elastic_->replicas.replication_factor() ==
-                 plan_->replicas());
-  }
 }
 
 void ShardCoordinator::Submit(uint64_t request_id) {
@@ -118,7 +115,7 @@ bool ShardCoordinator::TrySubmit(uint64_t request_id,
 void ShardCoordinator::Enqueue(uint64_t request_id,
                                const std::vector<SubRequest>& subs) {
   // Wake BEFORE mutating: if the coordinator was sleeping, its skipped
-  // cycles are attributed against the pre-enqueue state the serial loop
+  // cycles are attributed against the pre-enqueue state the reference loop
   // would have observed (see Module::WakeUp).
   WakeUp();
   FPGADP_CHECK(active_.find(request_id) == active_.end());
@@ -201,20 +198,16 @@ void ShardCoordinator::ObserveService(uint32_t shard, uint64_t service_cycles,
 
 uint64_t ShardCoordinator::PromotionPenalty(uint32_t shard,
                                             sim::Cycle now) const {
-  if (elastic_ == nullptr || elastic_->config.promotion_penalty_cycles == 0) {
-    return 0;
-  }
+  if (elastic_->config.promotion_penalty_cycles == 0) return 0;
   return promo_until_[shard] > now ? promo_until_[shard] - now : 0;
 }
 
 uint32_t ShardCoordinator::PrimaryNode(uint32_t shard) const {
-  const uint32_t primary =
-      elastic_ == nullptr ? 0 : elastic_->replicas.Primary(shard);
-  return plan_->ReplicaNode(shard, primary);
+  return plan_->ReplicaNode(shard, elastic_->replicas.Primary(shard));
 }
 
 bool ShardCoordinator::CanFailover(uint32_t shard) const {
-  return elastic_ != nullptr && elastic_->replicas.CanPromote(shard);
+  return elastic_->replicas.CanPromote(shard);
 }
 
 void ShardCoordinator::TraceElastic(const std::string& what,
@@ -287,7 +280,6 @@ void ShardCoordinator::CheckBeacons(sim::Cycle cycle) {
 
 void ShardCoordinator::StartMigration(const MigrationPlan& plan,
                                       sim::Cycle now) {
-  FPGADP_CHECK(elastic_ != nullptr);
   FPGADP_CHECK(plan_->topology() == GatherTopology::kFlat);
   // Migration forwarding re-routes individual slices by shard; a subtree
   // bundle has no single re-route target.
@@ -318,7 +310,6 @@ void ShardCoordinator::StartMigration(const MigrationPlan& plan,
 
 void ShardCoordinator::HandleMigrateDone(const net::Packet& p,
                                          sim::Cycle cycle) {
-  if (elastic_ == nullptr) return;
   Migration* m = elastic_->Find(p.user);
   if (m == nullptr || m->phase != MigrationPhase::kCopy) return;
   // The flip point of the double-ownership window: from this tick on, new
@@ -557,9 +548,7 @@ void ShardCoordinator::Tick(sim::Cycle cycle) {
   }
 
   // Beacon liveness: promote away from primaries that went silent.
-  if (elastic_ != nullptr && elastic_->config.beacon_timeout_cycles > 0) {
-    CheckBeacons(cycle);
-  }
+  if (elastic_->config.beacon_timeout_cycles > 0) CheckBeacons(cycle);
 
   // Replies. Whatever the topology, a reply is one record of slice
   // entries — a shard's own, a tree node's merge or a switch combine.
@@ -568,11 +557,8 @@ void ShardCoordinator::Tick(sim::Cycle cycle) {
     while (ep->PollRecv(&p)) {
       progressed = true;
       if (p.kind == net::OpKind::kHealthBeacon) {
-        if (elastic_ != nullptr) {
-          elastic_->replicas.ObserveBeacon(
-              static_cast<uint32_t>(p.user), static_cast<uint32_t>(p.user2),
-              cycle);
-        }
+        elastic_->replicas.ObserveBeacon(static_cast<uint32_t>(p.user),
+                                         static_cast<uint32_t>(p.user2), cycle);
         continue;
       }
       if (p.kind == net::OpKind::kMigrateDone) {
@@ -634,9 +620,10 @@ sim::Cycle ShardCoordinator::NextEventCycle(sim::Cycle now) const {
     }
     earliest = std::min(earliest, a.deadline);
   }
-  // Beacon deadlines: fast-forward must land exactly on the cycle a silent
-  // primary would be declared dead, or serial and skipped runs diverge.
-  if (elastic_ != nullptr && elastic_->config.beacon_timeout_cycles > 0) {
+  // Beacon deadlines: the event scheduler must tick exactly on the cycle a
+  // silent primary would be declared dead, or it diverges from the
+  // reference loop.
+  if (elastic_->config.beacon_timeout_cycles > 0) {
     const ReplicaSet& replicas = elastic_->replicas;
     for (uint32_t s = 0; s < num_shards_; ++s) {
       for (uint32_t r = 0; r < replicas.replication_factor(); ++r) {
@@ -675,8 +662,7 @@ void ShardCoordinator::ExportCustomMetrics(
   }
   // Only an actually-elastic cluster (replicas or migrations) grows the
   // gauge set; a plain R=1 cluster exports exactly the historical metrics.
-  if (elastic_ != nullptr &&
-      (plan_->replicas() > 1 || !elastic_->migrations.empty())) {
+  if (plan_->replicas() > 1 || !elastic_->migrations.empty()) {
     registry.GetGauge(base + ".failovers")
         ->Set(static_cast<double>(failovers_));
     registry.GetGauge(base + ".replayed_slices")
@@ -707,14 +693,12 @@ ShardServer::ShardServer(std::string name, uint32_t shard_id,
   FPGADP_CHECK(workload_ != nullptr);
   FPGADP_CHECK(endpoint_ != nullptr);
   FPGADP_CHECK(plan_ != nullptr);
+  FPGADP_CHECK(elastic_ != nullptr);
   FPGADP_CHECK(config_.max_queue > 0);
-  // Event-safe: NextEventCycle covers the pipeline, merge timeouts, beacon
+  // Event contract: NextEventCycle covers the pipeline, merge timeouts, beacon
   // posts and chunk pacing; the endpoint wakes the server on arrivals.
   endpoint_->SetWakeListener(this);
-  SetEventSafe();
-  if (elastic_ != nullptr && elastic_->config.beacon_interval_cycles > 0) {
-    next_beacon_at_ = elastic_->config.beacon_interval_cycles;
-  }
+  next_beacon_at_ = elastic_->config.beacon_interval_cycles;
 }
 
 void ShardServer::TickBeacon(sim::Cycle cycle, bool* progressed) {
@@ -921,7 +905,7 @@ bool ShardServer::Unbundle(net::Packet& bundle, sim::Cycle cycle) {
 void ShardServer::Tick(sim::Cycle cycle) {
   bool progressed = false;
 
-  if (elastic_ != nullptr) TickBeacon(cycle, &progressed);
+  TickBeacon(cycle, &progressed);
 
   // Post packets whose merge-cost or bundle-peel delay elapsed.
   for (size_t i = 0; i < emits_.size();) {
@@ -953,7 +937,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
     }
     if (p.kind == net::OpKind::kMigrateStart) {
       // This node is the source primary: begin streaming the range's state.
-      Migration* m = elastic_ == nullptr ? nullptr : elastic_->Find(p.user);
+      Migration* m = elastic_->Find(p.user);
       if (m != nullptr && m->phase == MigrationPhase::kCopy &&
           !m->start_seen) {
         m->start_seen = true;
@@ -965,7 +949,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
     if (p.kind == net::OpKind::kMigrateChunk) {
       // This node is the target primary: count payload in; when the full
       // state landed, tell the coordinator so it can flip ownership.
-      Migration* m = elastic_ == nullptr ? nullptr : elastic_->Find(p.user);
+      Migration* m = elastic_->Find(p.user);
       if (m != nullptr && m->phase == MigrationPhase::kCopy) {
         m->bytes_received += p.bytes;
         if (m->bytes_received >= m->plan.state_bytes) {
@@ -1008,7 +992,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
     // served from state that just moved away. (Migrations run under flat
     // gather only.)
     uint32_t owner = slice_shard;
-    if (elastic_ != nullptr && plan_->topology() == GatherTopology::kFlat) {
+    if (plan_->topology() == GatherTopology::kFlat) {
       owner = workload_->SliceOwner(slice_shard, req.user);
     }
     if (owner != shard_id_) {
@@ -1065,7 +1049,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
   }
 
   // Stream the next paced migration chunk (source primary only).
-  if (elastic_ != nullptr) TickMigration(cycle, &progressed);
+  TickMigration(cycle, &progressed);
 
   // Drain transport completions. A response that exhausts its retry cap
   // surfaces in the endpoint's failed() latch; the coordinator's gather
@@ -1075,7 +1059,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
   net::Completion comp;
   while (endpoint_->PollCompletion(&comp)) {
     progressed = true;
-    if (elastic_ != nullptr && comp.status != StatusCode::kOk &&
+    if (comp.status != StatusCode::kOk &&
         (comp.kind == net::OpKind::kMigrateChunk ||
          comp.kind == net::OpKind::kMigrateDone)) {
       AbortMigration(cycle);
@@ -1101,8 +1085,8 @@ sim::Cycle ShardServer::NextEventCycle(sim::Cycle now) const {
       earliest = std::min(earliest, m.timeout_at > now ? m.timeout_at : now);
     }
   }
-  // Fast-forward must land exactly on beacon posts and chunk pacing slots,
-  // or the skipped run diverges from the serial one.
+  // The event scheduler must tick exactly on beacon posts and chunk pacing
+  // slots, or it diverges from the reference loop.
   if (next_beacon_at_ > 0) {
     earliest =
         std::min(earliest, next_beacon_at_ > now ? next_beacon_at_ : now);
@@ -1146,8 +1130,7 @@ void ShardServer::ExportCustomMetrics(obs::MetricsRegistry& registry) const {
   }
   // Only an actually-elastic cluster grows the gauge set (same gate as the
   // coordinator): a plain R=1 cluster exports exactly the historical keys.
-  if (elastic_ != nullptr &&
-      (plan_->replicas() > 1 || !elastic_->migrations.empty())) {
+  if (plan_->replicas() > 1 || !elastic_->migrations.empty()) {
     registry.GetGauge(base + ".forwarded")
         ->Set(static_cast<double>(forwarded_));
     registry.GetGauge(base + ".beacons_sent")

@@ -108,15 +108,13 @@ void Engine::RebuildSchedule() {
   }
   // Cache each stream's endpoint registration indices so event-mode commit
   // and drain edges arm the neighbour with one array write instead of a
-  // pointer lookup. A conflicted stream has an ambiguous endpoint set and
-  // gets none (RebuildEventState then demotes the engine to always-active).
+  // pointer lookup.
   std::unordered_map<const Module*, size_t> index;
   index.reserve(modules_.size());
   for (size_t i = 0; i < modules_.size(); ++i) index[modules_[i]] = i;
   for (StreamBase* s : streams_) {
     s->producer_index_ = StreamBase::kNoEndpoint;
     s->consumer_index_ = StreamBase::kNoEndpoint;
-    if (s->bind_conflict()) continue;
     const auto ip = index.find(s->producer());
     const auto ic = index.find(s->consumer());
     if (ip != index.end()) s->producer_index_ = ip->second;
@@ -362,12 +360,12 @@ Result<Cycle> Engine::Run(uint64_t max_cycles) {
 //
 // Correctness frame: the reference loop ticks EVERY module EVERY visited cycle,
 // so extra ticks are always safe — the only dangerous direction is skipping
-// one. A module's tick may be skipped at cycle c only when it is certified
-// (SetEventSafe: an unarmed tick is a no-op except for stall attribution,
-// which AttributeSkip reproduces in closed form) AND nothing armed it for c.
-// Arming is over-approximate everywhere: residual committed items on a bound
-// input, any commit on a bound input, a drain of a full bound output, an
-// explicit WakeUp, or the module's own NextEventCycle hint each force a tick.
+// one. A module's tick is skipped at cycle c only when nothing armed it for
+// c, and by the NextEventCycle contract an unarmed tick is a no-op except for
+// stall attribution, which AttributeSkip reproduces in closed form. Arming is
+// over-approximate everywhere: residual committed items on a bound input, any
+// commit on a bound input, a drain of a full bound output, an explicit
+// WakeUp, or the module's own NextEventCycle hint each force a tick.
 
 void Engine::RebuildEventState() {
   const size_t n = modules_.size();
@@ -380,21 +378,6 @@ void Engine::RebuildEventState() {
   run_next_sorted_ = true;
   qc_module_ = kNone;
   qc_stream_ = kNone;
-  // A bind-conflicted stream has an ambiguous writer set, so its commit edge
-  // cannot be attributed to one endpoint pair; rather than risk a missed
-  // wake, demote every module to always-active (exact reference behavior, just
-  // driven from the event loop).
-  bool edges_ok = true;
-  for (const StreamBase* s : streams_) {
-    if (s->bind_conflict()) {
-      edges_ok = false;
-      break;
-    }
-  }
-  always_active_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (!edges_ok || !modules_[i]->event_safe()) always_active_.push_back(i);
-  }
   // Bound-input lists drive the post-tick residual re-arm (ReArmModule).
   bound_inputs_.assign(n, {});
   for (const StreamBase* s : streams_) {
@@ -477,7 +460,7 @@ void Engine::BuildRunList(Cycle c) {
   // Fast path for dense flow-through phases: every armed module was armed
   // for c by the previous cycle's in-order re-arms — the list is already
   // sorted and deduped, so the run list is a pointer swap.
-  if (heap_pops_.empty() && always_active_.empty() && run_next_sorted_) {
+  if (heap_pops_.empty() && run_next_sorted_) {
     std::swap(run_now_, run_next_);
     run_next_.clear();
     return;
@@ -485,7 +468,6 @@ void Engine::BuildRunList(Cycle c) {
   run_now_.clear();
   run_now_.insert(run_now_.end(), run_next_.begin(), run_next_.end());
   run_now_.insert(run_now_.end(), heap_pops_.begin(), heap_pops_.end());
-  run_now_.insert(run_now_.end(), always_active_.begin(), always_active_.end());
   std::sort(run_now_.begin(), run_now_.end());
   run_now_.erase(std::unique(run_now_.begin(), run_now_.end()),
                  run_now_.end());
@@ -505,10 +487,6 @@ Cycle Engine::CalendarHead() {
 }
 
 void Engine::ArmNext(size_t i) {
-  // Always-active modules join every run list; arming them would leave a
-  // stale next_run_ behind (they never pass through ReArmModule to clear
-  // it). Their next_run_ stays kNoEventCycle forever.
-  if (!modules_[i]->event_safe()) return;
   const Cycle nc = now_ + 1;
   if (next_run_[i] == nc) return;  // already queued in run_next_
   next_run_[i] = nc;
@@ -525,7 +503,6 @@ void Engine::WakeModule(size_t t) {
   // there — settling against it would double-count genuinely ticked
   // cycles.)
   if (event_saturated_) return;
-  if (!modules_[t]->event_safe()) return;
   if (event_dispatching_) {
     const Cycle c = now_;
     if (next_run_[t] == c) return;  // already runs (or ran) this cycle
@@ -563,7 +540,7 @@ void Engine::WakeModule(size_t t) {
     return;
   }
   // Outside dispatch (harness Submit between runs): arm at now_. Run()
-  // re-seeds every certified module on entry anyway, so this is mostly
+  // re-seeds every module on entry anyway, so this is mostly
   // belt-and-braces for state mutated between Run() calls.
   if (next_run_[t] <= now_) return;  // already armed at or before now
   SettleTo(t, now_);
@@ -583,9 +560,9 @@ void Engine::ReArmModule(size_t i, Cycle c) {
     }
   }
   const Cycle h = modules_[i]->NextEventCycle(c);
-  FPGADP_DCHECK(h == kNoEventCycle || h == kAlwaysActive || h >= c);
+  FPGADP_DCHECK(h >= c);
   if (h == kNoEventCycle) return;  // sleeps until a wake edge
-  if (h == kAlwaysActive || h <= c + 1) {
+  if (h <= c + 1) {
     ArmNext(i);
     return;
   }
@@ -600,13 +577,7 @@ void Engine::SeedAllArmed() {
   run_now_.clear();
   run_next_.clear();
   run_next_sorted_ = true;
-  size_t aa = 0;
   for (size_t i = 0; i < modules_.size(); ++i) {
-    if (aa < always_active_.size() && always_active_[aa] == i) {
-      ++aa;
-      next_run_[i] = kNoEventCycle;
-      continue;
-    }
     next_run_[i] = now_;
     run_next_.push_back(i);
   }
@@ -622,15 +593,14 @@ void Engine::DispatchCycle(Cycle c) {
     const size_t i = run_now_[cursor];
     current_ticking_index_ = i;
     if (accounted_[i] != c) SettleTo(i, c);
-    const bool certified = modules_[i]->event_safe();
     // Clear the arm BEFORE ticking so a self-WakeUp during the tick is seen
     // as a fresh request, and so a hintless sleeper never leaves a stale
     // next_run_ that would swallow a later wake.
-    if (certified) next_run_[i] = kNoEventCycle;
+    next_run_[i] = kNoEventCycle;
     modules_[i]->Tick(c);
     modules_[i]->FinalizeTick();
     accounted_[i] = c + 1;
-    if (certified) ReArmModule(i, c);
+    ReArmModule(i, c);
   }
   event_dispatching_ = false;
   // Commit phase. Committed data becomes readable at c+1, so every commit
@@ -665,33 +635,32 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
   // Entry seeding: harnesses may have preloaded streams, committed them
   // manually, swapped fault injectors, or submitted work without a wake
   // since the last Run() — none of which a previous run's sleep decisions
-  // can know about. Arm every certified module once at now_ and drop the
-  // stale calendar; one no-op tick per module per Run() is
-  // attribution-identical by the event-safe contract, and timer re-arms
-  // repopulate the heap from fresh hints.
+  // can know about. Arm every module once at now_ and drop the stale
+  // calendar; one no-op tick per module per Run() is attribution-identical
+  // by the NextEventCycle contract, and timer re-arms repopulate the heap
+  // from fresh hints.
   SeedAllArmed();
   qc_module_ = kNone;
   qc_stream_ = kNone;
   dense_streak_ = 0;
   while (now_ < limit) {
     // Quiescence is checked every VISITED cycle, like the reference loop; the
-    // gaps in between are provably frozen (unarmed certified modules do not
-    // tick, and Idle()/InFlight() are pure state functions), so no jump can
-    // overshoot the quiesce cycle.
+    // gaps in between are provably frozen (unarmed modules do not tick, and
+    // Idle()/InFlight() are pure state functions), so no jump can overshoot
+    // the quiesce cycle.
     if (EventQuiesced()) {
       for (size_t i = 0; i < modules_.size(); ++i) SettleTo(i, now_);
       FlushObservers();
       return now_;
     }
-    // Nothing was armed for this cycle by the previous one, no module is
-    // always active and nothing is staged: only calendar entries can be due,
-    // and state is frozen until the earliest live one. When it lies ahead,
-    // the quiesce check above was all this cycle owed — jump there without
-    // building an empty run list (clamped to the budget; an empty calendar
-    // is a genuine deadlock, which runs the budget out just as per-cycle
-    // ticking would). Attribution settles lazily.
-    if (run_next_.empty() && always_active_.empty() &&
-        commit_queue_->empty()) {
+    // Nothing was armed for this cycle by the previous one and nothing is
+    // staged: only calendar entries can be due, and state is frozen until
+    // the earliest live one. When it lies ahead, the quiesce check above was
+    // all this cycle owed — jump there without building an empty run list
+    // (clamped to the budget; an empty calendar is a genuine deadlock, which
+    // runs the budget out just as per-cycle ticking would). Attribution
+    // settles lazily.
+    if (run_next_.empty() && commit_queue_->empty()) {
       const Cycle head = CalendarHead();
       if (head > now_) {
         now_ = std::min(head, limit);
@@ -703,45 +672,6 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
     // An empty run list now means a harness staged writes between runs:
     // the cycle dispatches commit-only, so the commit edge arms consumers.
     FPGADP_DCHECK(!run_now_.empty() || !commit_queue_->empty());
-    if (!always_active_.empty() &&
-        run_now_.size() == always_active_.size()) {
-      // The run list is exactly the always-active set (it is always a
-      // subset). Those modules carry no event certification, so they can
-      // only be skipped under the whole-system skip conditions: every
-      // stream empty and every hint beyond now_+1 (the NextEventCycle
-      // contract), with the skipped cycles attributed lazily like any
-      // sleeper's.
-      bool streams_empty = true;
-      for (const StreamBase* s : streams_) {
-        if (s->InFlight()) {
-          streams_empty = false;
-          break;
-        }
-      }
-      if (streams_empty) {
-        Cycle target = CalendarHead();
-        for (size_t i : always_active_) {
-          const Cycle hint = modules_[i]->NextEventCycle(now_);
-          FPGADP_DCHECK(hint == kNoEventCycle || hint == kAlwaysActive ||
-                        hint >= now_);
-          if (hint == kAlwaysActive) {
-            target = now_;
-            break;
-          }
-          if (hint < target) target = hint;
-          if (target <= now_ + 1) break;
-        }
-        if (target > now_ + 1) {
-          // The armed set re-forms at the target: always-active modules
-          // join every run list and the calendar entry that defined the
-          // target is still queued. (run_now_ is discarded, not consumed —
-          // nothing in it was de-armed.)
-          now_ = std::min(target, limit);
-          dense_streak_ = 0;
-          continue;
-        }
-      }
-    }
     if (run_now_.size() == modules_.size()) {
       // A full run list means the cycle costs exactly what the reference
       // loop charges, plus the arming bookkeeping on top — dispatching a full

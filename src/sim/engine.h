@@ -30,10 +30,8 @@ struct TraceOptions {
 ///    per-module activation. A module ticks only when armed (its own
 ///    NextEventCycle hint, residual items on a bound input stream, a stream
 ///    commit/drain edge, or an explicit WakeUp). Idle modules cost zero per
-///    cycle and cycles with no armed work are jumped over. Modules not
-///    SetEventSafe() are always active: ticked every visited cycle, and
-///    skipped only across gaps where every stream is empty and every hint
-///    lies ahead — the same NextEventCycle contract, applied to them alone.
+///    cycle and cycles with no armed work are jumped over. A module without
+///    a hint keeps the default `now` and ticks every cycle.
 ///  * kLevelTick — the reference oracle: every module ticks every cycle,
 ///    with no skipping of any kind. Event-driven runs must reproduce its
 ///    cycles and counters bit for bit; it stays selectable (`--engine=tick`,
@@ -215,12 +213,11 @@ class Engine {
   // --- Event-driven core (Scheduling::kEventDriven) -----------------------
 
   /// The event-mode Run() loop: builds each cycle's armed-module run list
-  /// from the calendar heap, the previous cycle's next-cycle arms, and the
-  /// always-active set; dispatches it; and jumps over cycles with no armed
-  /// work.
+  /// from the calendar heap and the previous cycle's next-cycle arms;
+  /// dispatches it; and jumps over cycles with no armed work.
   Result<Cycle> RunEventDriven(uint64_t max_cycles);
   /// (Re)allocates the per-module activation arrays and the per-stream
-  /// wake-edge plumbing; arms every event-certified module at now_.
+  /// wake-edge plumbing.
   void RebuildEventState();
   /// Brings every module's skipped-cycle attribution up to now_ and drops
   /// the event state. Called before any level-tick stepping (Step, a level-tick
@@ -237,15 +234,15 @@ class Engine {
   /// Drops stale calendar heads; returns the earliest live entry's cycle, or
   /// kNoEventCycle when the calendar is empty.
   Cycle CalendarHead();
-  /// Arms every event-certified module at now_ and drops the calendar:
+  /// Arms every module at now_ and drops the calendar:
   /// the event loop's entry seeding, also used to re-enter bookkeeping
   /// after a saturated phase (see RunEventDriven).
   void SeedAllArmed();
   /// Ticks the armed modules of cycle `c` in registration order, commits
   /// dirty streams, and arms stream edges.
   void DispatchCycle(Cycle c);
-  /// Post-tick re-arm for a certified module: bound-input residual first
-  /// (no virtual call), then the NextEventCycle hint.
+  /// Post-tick re-arm: bound-input residual first (no virtual call), then
+  /// the NextEventCycle hint.
   void ReArmModule(size_t i, Cycle c);
   /// Arms module `i` for the cycle after the one being dispatched.
   void ArmNext(size_t i);
@@ -278,11 +275,10 @@ class Engine {
   // and the stale one is dropped (or deduped) at pop time. Arms for the
   // cycle right after the one being dispatched accumulate in run_next_
   // (sortedness tracked while building, sorted only when a wake broke the
-  // order), which becomes the seed of the next cycle's run list. Modules
-  // not event_safe() live in always_active_ and join every run list —
-  // exact reference behavior for them. accounted_[i] is the cycle (exclusive)
-  // through which module i's stall attribution is settled; gaps settle
-  // lazily at the next tick, wake, or Run() exit.
+  // order), which becomes the seed of the next cycle's run list.
+  // accounted_[i] is the cycle (exclusive) through which module i's stall
+  // attribution is settled; gaps settle lazily at the next tick, wake, or
+  // Run() exit.
   bool event_state_valid_ = false;
   bool event_dispatching_ = false;
   // True while the event loop runs its saturated-phase inner loop (every
@@ -303,7 +299,6 @@ class Engine {
   std::vector<size_t> run_next_;
   bool run_next_sorted_ = true;
   std::vector<size_t> heap_pops_;
-  std::vector<size_t> always_active_;
   // Bound input streams per module (consumer side), for the residual-item
   // re-arm check that avoids the virtual hint call on flow-through paths.
   std::vector<std::vector<const StreamBase*>> bound_inputs_;

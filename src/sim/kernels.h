@@ -40,7 +40,6 @@ class VectorSource : public Module {
     FPGADP_CHECK(out_ != nullptr);
     FPGADP_CHECK(lanes_ > 0);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle) override {
@@ -95,7 +94,6 @@ class VectorSink : public Module {
     FPGADP_CHECK(in_ != nullptr);
     FPGADP_CHECK(lanes_ > 0);
     in_->BindConsumer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle) override {
@@ -156,7 +154,6 @@ class TransformKernel : public Module {
     FPGADP_CHECK(timing_.ii > 0 && timing_.lanes > 0);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {
@@ -236,7 +233,7 @@ class TransformKernel : public Module {
 
  protected:
   void AttributeSkip(Cycle from, Cycle to) override {
-    // Matches the serial waiting branches: no input and nothing in flight
+    // Matches Tick's waiting branches: no input and nothing in flight
     // counts as starvation; items in the latency shadow count as idle.
     if (pipe_.empty()) MarkStallN(StallKind::kInputStarved, to - from);
   }
@@ -274,7 +271,6 @@ class ReduceKernel : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {
@@ -356,7 +352,6 @@ class DelayLine : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {
@@ -411,7 +406,7 @@ class DelayLine : public Module {
 
  protected:
   void AttributeSkip(Cycle from, Cycle to) override {
-    // Matches the serial branches: empty+no-input is starvation, items
+    // Matches Tick's branches: empty+no-input is starvation, items
     // still inside the delay window are idle.
     if (pending_.empty()) MarkStallN(StallKind::kInputStarved, to - from);
   }

@@ -21,13 +21,6 @@ using Cycle = uint64_t;
 /// event — it only reacts to stream traffic (or is finished entirely).
 inline constexpr Cycle kNoEventCycle = ~Cycle{0};
 
-/// Sentinel NextEventCycle() value: the module declines to hint at all and
-/// must be ticked every cycle. This is the base-class default, so an
-/// un-audited module is *explicitly* always-active instead of silently
-/// returning "now" — the engine DCHECKs that every hint is one of the two
-/// sentinels or a cycle >= now, making a buggy hint fail loud.
-inline constexpr Cycle kAlwaysActive = ~Cycle{0} - 1;
-
 class Engine;
 
 /// Why a module made no forward progress in a cycle. Attribution follows the
@@ -45,9 +38,10 @@ enum class StallKind : uint8_t {
 /// every cycle, consuming from input streams and producing to output streams
 /// under backpressure.
 ///
-/// The engine calls Tick() on every module each cycle (compute phase), then
-/// commits all streams (update phase), so the order in which modules tick
-/// never changes simulation results.
+/// Each cycle the engine calls Tick() on the modules due (compute phase),
+/// then commits the streams (update phase), so the order in which modules
+/// tick never changes simulation results. Which modules are due is the
+/// event contract of NextEventCycle(); the reference loop ticks them all.
 ///
 /// Each Tick classifies the cycle into exactly one bucket: MarkBusy() for
 /// forward progress, or MarkStall() for the three stall kinds. The engine
@@ -70,26 +64,22 @@ class Module {
   /// streams are drained.
   virtual bool Idle() const = 0;
 
-  /// Event hint: the earliest cycle >= `now` at which this module could
-  /// possibly make forward progress, given that every stream in the system
-  /// is empty and stays empty until then. Timer- and latency-driven modules
+  /// Event hint, the whole event contract: the earliest cycle >= `now` at
+  /// which this module could make forward progress with no traffic on its
+  /// bound streams and no WakeUp(). Timer- and latency-driven modules
   /// (memory channels, retransmission timers, delay lines) return their next
-  /// deadline; purely reactive modules return kNoEventCycle. The
-  /// conservative default — kAlwaysActive, "tick me every cycle" — disables
-  /// skipping past an un-audited module, so subclasses opt in explicitly.
+  /// deadline; purely reactive modules return kNoEventCycle. The default,
+  /// `now`, ticks the module every cycle.
   ///
-  /// Contract: if every module's hint is > c for all cycles in [now, c],
-  /// then ticking the system through [now, c) is a no-op except for stall
-  /// attribution, which AccountSkip() reproduces in closed form.
-  ///
-  /// Event-driven scheduling additionally requires (for SetEventSafe
-  /// modules) that a hint <= now is returned whenever the module holds
-  /// output it could not deliver (full output stream), so a drained
-  /// consumer re-opens the path on the very next cycle.
-  virtual Cycle NextEventCycle(Cycle now) const {
-    (void)now;
-    return kAlwaysActive;
-  }
+  /// The event scheduler ticks a module once when Run() starts, then only
+  /// at its hint, after a commit (or residual items) on a stream it
+  /// BindConsumer()s, after a drain of a full stream it BindProducer()s,
+  /// and after WakeUp(). Every tick the reference loop adds
+  /// must be a no-op except for stall attribution, which AttributeSkip()
+  /// reproduces in closed form. A module holding output it could not
+  /// deliver (full output stream) hints `now`, or sleeps on the drain edge
+  /// and attributes the blocked cycles in AttributeSkip().
+  virtual Cycle NextEventCycle(Cycle now) const { return now; }
 
   /// Engine-driven bulk attribution for a gap the event scheduler skipped:
   /// accounts the `to - from` skipped cycles exactly as the per-cycle
@@ -105,22 +95,15 @@ class Module {
     }
   }
 
-  /// True iff the module is certified for event-driven scheduling: ticking
-  /// it while unarmed (no pending hint, no residual on a bound input stream,
-  /// no wakeup) is a no-op except for stall attribution, which AttributeSkip
-  /// reproduces. Uncertified modules are ticked every cycle even in event
-  /// mode — exact reference behavior, never an approximation.
-  bool event_safe() const { return event_safe_; }
-
   /// Requests a tick from the event-driven scheduler: at the current cycle
   /// when called from inside another module's Tick() (the engine preserves
   /// registration-order visibility), at the engine's current cycle
   /// otherwise. No-op when the module is not registered with an engine or
   /// the engine is not running event-driven. Modules whose state can be
   /// mutated from *outside* their own Tick (completion queues filled by an
-  /// endpoint, outcomes published by a coordinator) call this — directly or
-  /// via a wake-listener hook — so the mutation never outruns the hint they
-  /// gave when they last ran.
+  /// endpoint, outcomes published by a coordinator, data queued by Send())
+  /// call this before the mutation — directly or via a wake-listener hook —
+  /// so the mutation never outruns the hint they gave when they last ran.
   void WakeUp();
 
   const std::string& name() const { return name_; }
@@ -199,19 +182,14 @@ class Module {
   }
 
   /// Hook for AccountSkip(): classify the `to - from` skipped cycles the
-  /// same way the serial Tick()s would have. The default classifies nothing,
-  /// which AccountSkip backfills as idle — correct for any module whose
-  /// waiting Tick marks nothing (or kIdle) while its hint is pending.
+  /// same way the reference loop's per-cycle Tick()s would have. The
+  /// default classifies nothing, which AccountSkip backfills as idle —
+  /// correct for any module whose waiting Tick marks nothing (or kIdle)
+  /// while its hint is pending.
   virtual void AttributeSkip(Cycle from, Cycle to) {
     (void)from;
     (void)to;
   }
-
-  /// Certifies this module for event-driven scheduling (see event_safe()).
-  /// Call from the subclass constructor, after binding every stream the
-  /// Tick touches: the engine re-arms a certified module whenever a bound
-  /// input stream holds residual items, so binds double as wake edges.
-  void SetEventSafe() { event_safe_ = true; }
 
   obs::TraceWriter* trace_writer() const { return trace_writer_; }
   int trace_pid() const { return trace_pid_; }
@@ -227,7 +205,6 @@ class Module {
   uint64_t idle_cycles_ = 0;
   uint64_t attributed_ = 0;
   uint64_t ticked_ = 0;
-  bool event_safe_ = false;
   /// Set by Engine::AddModule so WakeUp() can reach the scheduler. A module
   /// belongs to at most one engine (AddModule enforces it).
   Engine* engine_ = nullptr;

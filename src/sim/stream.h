@@ -81,22 +81,20 @@ class StreamBase {
   /// Endpoint declarations for the event scheduler's wake edges: the module
   /// whose Tick writes this stream (re-armed by a drain edge), and the one
   /// whose Tick reads it (re-armed by a commit edge). Called from module
-  /// constructors. A stream may legitimately have an unbound side (driven
-  /// from outside the engine, e.g. a test harness); a side bound twice to
-  /// *different* modules marks the stream conflicted, which only demotes
-  /// every module of the engine to always-active (an edge with an unknown
-  /// set of endpoints cannot be attributed, so nobody may sleep on it).
+  /// constructors. A stream may have an unbound side (driven from outside
+  /// the engine, e.g. a test harness). Streams are single-producer,
+  /// single-consumer, like HLS streams: binding a second, different module
+  /// to one side aborts; re-binding the same module is a no-op.
   void BindProducer(Module* m) {
-    if (producer_ != nullptr && producer_ != m) bind_conflict_ = true;
+    FPGADP_CHECK(producer_ == nullptr || producer_ == m);
     producer_ = m;
   }
   void BindConsumer(Module* m) {
-    if (consumer_ != nullptr && consumer_ != m) bind_conflict_ = true;
+    FPGADP_CHECK(consumer_ == nullptr || consumer_ == m);
     consumer_ = m;
   }
   Module* producer() const { return producer_; }
   Module* consumer() const { return consumer_; }
-  bool bind_conflict() const { return bind_conflict_; }
 
  protected:
   /// Called by the typed stream on the first staged item of a cycle: flags
@@ -140,7 +138,6 @@ class StreamBase {
   std::string name_;
   Module* producer_ = nullptr;
   Module* consumer_ = nullptr;
-  bool bind_conflict_ = false;
   bool has_staged_ = false;
   /// Dirty-stream list shared with the registering engine (see
   /// Engine::AddStream). Shared ownership makes stream/engine destruction
@@ -155,8 +152,8 @@ class StreamBase {
   bool drained_pending_ = false;
   /// Engine indices of the bound endpoints, cached by
   /// Engine::RebuildSchedule so stream-edge wakeups are O(1) array arms
-  /// instead of pointer-to-index lookups. kNoEndpoint when unbound,
-  /// conflicted, or the endpoint module is registered with another engine.
+  /// instead of pointer-to-index lookups. kNoEndpoint when unbound or the
+  /// endpoint module is registered with another engine.
   static constexpr size_t kNoEndpoint = ~size_t{0};
   size_t producer_index_ = kNoEndpoint;
   size_t consumer_index_ = kNoEndpoint;

@@ -33,7 +33,6 @@ class VarStage : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {
@@ -87,8 +86,8 @@ class VarStage : public Module {
 
  protected:
   void AttributeSkip(Cycle from, Cycle to) override {
-    // The serial ticks mark busy while the engine crunches the held item
-    // and starved while waiting for one.
+    // The reference loop's ticks mark busy while the engine crunches the
+    // held item and starved while waiting for one.
     if (holding_) {
       MarkBusyN(to - from);
     } else {

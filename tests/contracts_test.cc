@@ -8,6 +8,7 @@
 #include "src/common/result.h"
 #include "src/microrec/engine.h"
 #include "src/net/tcp.h"
+#include "src/sim/module.h"
 #include "src/sim/stream.h"
 #include "src/sim/tap.h"
 
@@ -23,6 +24,28 @@ TEST(CheckDeathTest, StreamOverflowAborts) {
 TEST(CheckDeathTest, StreamUnderflowAborts) {
   sim::Stream<int> s("s", 1);
   EXPECT_DEATH((void)s.Read(), "CanRead");
+}
+
+class NopModule : public sim::Module {
+ public:
+  using sim::Module::Module;
+  void Tick(sim::Cycle) override {}
+  bool Idle() const override { return true; }
+};
+
+TEST(CheckDeathTest, StreamsAreSingleProducerSingleConsumer) {
+  NopModule a("a"), b("b");
+  sim::Stream<int> s("s", 4);
+  // Re-binding the module already bound to a side is a no-op.
+  s.BindProducer(&a);
+  s.BindProducer(&a);
+  s.BindConsumer(&b);
+  s.BindConsumer(&b);
+  EXPECT_EQ(s.producer(), &a);
+  EXPECT_EQ(s.consumer(), &b);
+  // A second, different module on either side aborts.
+  EXPECT_DEATH(s.BindProducer(&b), "producer_");
+  EXPECT_DEATH(s.BindConsumer(&a), "consumer_");
 }
 
 TEST(CheckDeathTest, ResultValueOnErrorAborts) {

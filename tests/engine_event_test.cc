@@ -3,14 +3,15 @@
 //
 // The correctness frame for Scheduling::kEventDriven is that the level-tick
 // reference loop ticks every module on every cycle, so EXTRA ticks are
-// always harmless (an unarmed certified module's Tick is a no-op except for
-// stall attribution) and only a MISSED tick can diverge. Every test here
+// always harmless (an unarmed module's Tick is a no-op except for stall
+// attribution) and only a MISSED tick can diverge. Every test here
 // therefore compares an event-driven run against a bit-identical reference
 // run of the same topology: elapsed cycles, per-module stall buckets, and
 // (where a tick log is kept) the exact dispatch sequence.
 //
 // Covered arming scenarios, one test each:
 //  * same-cycle re-arm (a module whose post-tick hint is `now`),
+//  * the default hint (`now`): a hint-less module ticks every cycle,
 //  * wakeup ordering — registration-order dispatch within a cycle, and the
 //    same-cycle / next-cycle split around the in-flight tick index,
 //  * arm-cancel on quiesce (a stale far-future calendar entry must not
@@ -59,7 +60,6 @@ namespace {
 
 using sim::Cycle;
 using sim::Engine;
-using sim::kAlwaysActive;
 using sim::kNoEventCycle;
 using sim::Module;
 using sim::Scheduling;
@@ -97,9 +97,7 @@ void ExpectSameBuckets(const Buckets& ref, const Buckets& got,
 class SelfArmWorker : public Module {
  public:
   SelfArmWorker(std::string name, uint64_t n, TickLog* log = nullptr)
-      : Module(std::move(name)), n_(n), log_(log) {
-    SetEventSafe();
-  }
+      : Module(std::move(name)), n_(n), log_(log) {}
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
     if (done_ < n_) {
@@ -125,9 +123,7 @@ class SelfArmWorker : public Module {
 class MailboxSleeper : public Module {
  public:
   MailboxSleeper(std::string name, TickLog* log = nullptr)
-      : Module(std::move(name)), log_(log) {
-    SetEventSafe();
-  }
+      : Module(std::move(name)), log_(log) {}
   void Deliver() { mailbox_ = true; }
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
@@ -161,9 +157,7 @@ class WakerModule : public Module {
       : Module(std::move(name)),
         fire_cycle_(fire_cycle),
         targets_(std::move(targets)),
-        log_(log) {
-    SetEventSafe();
-  }
+        log_(log) {}
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
     if (!fired_ && c >= fire_cycle_) {
@@ -194,9 +188,7 @@ class WakerModule : public Module {
 class CancellableTimer : public Module {
  public:
   CancellableTimer(std::string name, Cycle deadline)
-      : Module(std::move(name)), deadline_(deadline) {
-    SetEventSafe();
-  }
+      : Module(std::move(name)), deadline_(deadline) {}
   void Cancel() { cancelled_ = true; }
   void Extend(Cycle deadline) { deadline_ = deadline; }
   void Tick(Cycle c) override {
@@ -228,7 +220,6 @@ class BurstProducer : public Module {
         count_(count),
         burst_(burst) {
     out_->BindProducer(this);
-    SetEventSafe();
   }
   void Tick(Cycle c) override {
     if (emitted_ < count_ && c >= Cycle(emitted_) * period_) {
@@ -260,7 +251,6 @@ class GreedyConsumer : public Module {
   GreedyConsumer(std::string name, Stream<int>* in, TickLog* log = nullptr)
       : Module(std::move(name)), in_(in), log_(log) {
     in_->BindConsumer(this);
-    SetEventSafe();
   }
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
@@ -299,7 +289,6 @@ class TrickleProducer : public Module {
                   BlockedPolicy policy)
       : Module(std::move(name)), out_(out), total_(total), policy_(policy) {
     out_->BindProducer(this);
-    SetEventSafe();
   }
   void Tick(Cycle) override {
     if (sent_ == total_) return;
@@ -342,7 +331,6 @@ class TimedPopper : public Module {
   TimedPopper(std::string name, Stream<int>* in, Cycle period)
       : Module(std::move(name)), in_(in), period_(period) {
     in_->BindConsumer(this);
-    SetEventSafe();
   }
   void Tick(Cycle c) override {
     if (c % period_ == 0 && in_->CanRead()) {
@@ -371,9 +359,7 @@ class TimedPopper : public Module {
 class DenseWorker : public Module {
  public:
   DenseWorker(std::string name, Cycle end_cycle)
-      : Module(std::move(name)), end_(end_cycle) {
-    SetEventSafe();
-  }
+      : Module(std::move(name)), end_(end_cycle) {}
   void PokeAt(Cycle c, Module* target) {
     poke_cycle_ = c;
     poke_target_ = target;
@@ -396,6 +382,49 @@ class DenseWorker : public Module {
   bool done_ = false;
   Cycle poke_cycle_ = 0;
   Module* poke_target_ = nullptr;
+};
+
+/// Sets `*flag` at `fire_cycle` from its own Tick, with no WakeUp() for
+/// whoever reads it. Sleeps on its timer hint until then.
+class FlagSetter : public Module {
+ public:
+  FlagSetter(std::string name, Cycle fire_cycle, bool* flag)
+      : Module(std::move(name)), fire_cycle_(fire_cycle), flag_(flag) {}
+  void Tick(Cycle c) override {
+    if (!*flag_ && c >= fire_cycle_) {
+      *flag_ = true;
+      MarkBusy();
+    }
+  }
+  bool Idle() const override { return *flag_; }
+  Cycle NextEventCycle(Cycle) const override {
+    return *flag_ ? kNoEventCycle : fire_cycle_;
+  }
+
+ private:
+  Cycle fire_cycle_;
+  bool* flag_;
+};
+
+/// Keeps the base-class hint (`now`), so it ticks every cycle exactly like
+/// the reference loop and needs no WakeUp() to see `*flag` change.
+class HintlessPoller : public Module {
+ public:
+  HintlessPoller(std::string name, const bool* flag, TickLog* log)
+      : Module(std::move(name)), flag_(flag), log_(log) {}
+  void Tick(Cycle c) override {
+    log_->push_back({c, this->name()});
+    if (*flag_ && !seen_) {
+      seen_ = true;
+      MarkBusy();
+    }
+  }
+  bool Idle() const override { return seen_; }
+
+ private:
+  const bool* flag_;
+  TickLog* log_;
+  bool seen_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -442,6 +471,31 @@ TEST(EngineEventTest, SameCycleRearmTicksOncePerCycle) {
   }
 }
 
+TEST(EngineEventTest, DefaultHintTicksEveryCycle) {
+  auto run = [](Scheduling s) {
+    SimpleRun r;
+    bool flag = false;
+    FlagSetter setter("setter", 37, &flag);
+    HintlessPoller poller("poller", &flag, &r.log);
+    Engine e;
+    e.SetScheduling(s);
+    e.AddModule(&setter);
+    e.AddModule(&poller);
+    auto cycles = e.Run(100000);
+    EXPECT_TRUE(cycles.ok());
+    r.cycles = cycles.ok() ? *cycles : 0;
+    r.buckets = {BucketsOf(setter), BucketsOf(poller)};
+    return r;
+  };
+  const SimpleRun ref = run(Scheduling::kLevelTick);
+  const SimpleRun event = run(Scheduling::kEventDriven);
+  ExpectSameRun(ref, event, "default hint");
+  // The setter sleeps until cycle 37, but the poller keeps the engine from
+  // jumping: it ticks on every cycle and sees the flag the cycle it is set.
+  EXPECT_EQ(event.cycles, 38u);
+  EXPECT_EQ(event.log, ref.log);
+}
+
 TEST(EngineEventTest, WakesDispatchInRegistrationOrderDeterministically) {
   auto run_event = [] {
     SimpleRun r;
@@ -466,8 +520,8 @@ TEST(EngineEventTest, WakesDispatchInRegistrationOrderDeterministically) {
   const SimpleRun second = run_event();
   EXPECT_EQ(first.log, second.log) << "event dispatch must be deterministic";
   EXPECT_EQ(first.cycles, second.cycles);
-  // Entry seeding ticks every certified module once at cycle 0; the only
-  // other dispatches are the wake cycle, in registration order.
+  // Entry seeding ticks every module once at cycle 0; the only other
+  // dispatches are the wake cycle, in registration order.
   const TickLog expected = {{0, "waker"}, {0, "a"}, {0, "b"}, {0, "c"},
                            {5, "waker"}, {5, "a"}, {5, "b"}, {5, "c"}};
   EXPECT_EQ(first.log, expected);
@@ -526,9 +580,7 @@ TEST(EngineEventTest, StaleCalendarEntryDoesNotDelayQuiesce) {
     // after the canceller, so it observes the cancel the same cycle.
     class Canceller : public Module {
      public:
-      Canceller(CancellableTimer* t) : Module("cancel"), t_(t) {
-        SetEventSafe();
-      }
+      Canceller(CancellableTimer* t) : Module("cancel"), t_(t) {}
       void Tick(Cycle c) override {
         if (!fired_ && c >= 5) {
           t_->Cancel();
@@ -724,9 +776,7 @@ TEST(EngineEventTest, WakeSupersedingTimerLeavesStaleHeadMatchesLegacy) {
     CancellableTimer timer("timer", /*deadline=*/60);
     class Poker : public Module {
      public:
-      explicit Poker(CancellableTimer* t) : Module("poker"), t_(t) {
-        SetEventSafe();
-      }
+      explicit Poker(CancellableTimer* t) : Module("poker"), t_(t) {}
       void Tick(Cycle c) override {
         if (!fired_ && c >= 10) {
           t_->WakeUp();

@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "src/net/fabric.h"
 #include "src/net/rdma.h"
+#include "src/net/tcp.h"
 #include "src/obs/metrics.h"
 #include "src/relational/fpga_executor.h"
 #include "src/relational/program.h"
@@ -192,6 +193,148 @@ TEST(EngineEventPipelineTest, FaultOutcomeMatchesTick) {
   const LossyRdmaResult ref = RunLossyRdma(Scheduling::kLevelTick, 0.9, 2);
   EXPECT_TRUE(ref.failed);
   EXPECT_EQ(RunLossyRdma(Scheduling::kEventDriven, 0.9, 2), ref);
+}
+
+// ---------------------------------------------------------------------------
+// TCP on the event scheduler. TcpStack sleeps between arrivals on its hint
+// (deferred packets, sendable data, SYN and segment timers), and Connect()
+// and Send() wake it because callers mutate it outside its own Tick.
+
+struct TcpRunResult {
+  Cycle cycles = 0;
+  uint64_t read_a = 0, read_b = 0;  // bytes readable at each end
+  uint64_t segments_a = 0, segments_b = 0;
+  uint64_t retransmits_a = 0, retransmits_b = 0;
+  uint64_t fast_retransmits_a = 0, fast_retransmits_b = 0;
+  std::vector<Buckets> buckets;  // a, b
+};
+
+void ExpectSameTcpRun(const TcpRunResult& ref, const TcpRunResult& got,
+                      const std::string& label) {
+  EXPECT_EQ(got.cycles, ref.cycles) << label;
+  EXPECT_EQ(got.read_a, ref.read_a) << label;
+  EXPECT_EQ(got.read_b, ref.read_b) << label;
+  EXPECT_EQ(got.segments_a, ref.segments_a) << label;
+  EXPECT_EQ(got.segments_b, ref.segments_b) << label;
+  EXPECT_EQ(got.retransmits_a, ref.retransmits_a) << label;
+  EXPECT_EQ(got.retransmits_b, ref.retransmits_b) << label;
+  EXPECT_EQ(got.fast_retransmits_a, ref.fast_retransmits_a) << label;
+  EXPECT_EQ(got.fast_retransmits_b, ref.fast_retransmits_b) << label;
+  ASSERT_EQ(got.buckets.size(), ref.buckets.size()) << label;
+  for (size_t i = 0; i < ref.buckets.size(); ++i) {
+    ExpectSameBuckets(ref.buckets[i], got.buckets[i],
+                      label + " stack " + std::to_string(i));
+  }
+}
+
+/// Calls `stack->Send(peer, bytes)` from its own Tick at each cycle of
+/// `at`, sleeping on a timer hint in between.
+class TcpFeeder : public Module {
+ public:
+  TcpFeeder(std::string name, net::TcpStack* stack, uint32_t peer,
+            uint64_t bytes, std::vector<Cycle> at)
+      : Module(std::move(name)), stack_(stack), peer_(peer), bytes_(bytes),
+        at_(std::move(at)) {}
+  void Tick(Cycle c) override {
+    if (next_ < at_.size() && c >= at_[next_]) {
+      stack_->Send(peer_, bytes_);
+      ++next_;
+      MarkBusy();
+    }
+  }
+  bool Idle() const override { return next_ == at_.size(); }
+  Cycle NextEventCycle(Cycle now) const override {
+    return next_ == at_.size() ? sim::kNoEventCycle : std::max(now, at_[next_]);
+  }
+
+ private:
+  net::TcpStack* stack_;
+  uint32_t peer_;
+  uint64_t bytes_;
+  std::vector<Cycle> at_;
+  size_t next_ = 0;
+};
+
+/// Two stacks exchange a bulk transfer each way, queued before Run(). With
+/// `seed` != 0 the fabric drops, duplicates and delays packets, so SYN and
+/// segment timers, fast retransmits and out-of-order buffering all run.
+/// `feed_at` adds a TcpFeeder that re-sends from a to b mid-run, registered
+/// before the stacks (`feeder_first`) or after them.
+TcpRunResult RunTcpPair(Scheduling sched, uint64_t seed,
+                        std::vector<Cycle> feed_at = {},
+                        bool feeder_first = false) {
+  net::FaultInjector::Config fc;
+  fc.seed = seed;
+  fc.drop_rate = 0.02;
+  fc.duplicate_rate = 0.02;
+  fc.delay_rate = 0.02;
+  net::FaultInjector injector(fc);
+  net::Fabric::Config cfg;
+  cfg.clock_hz = 200e6;
+  net::Fabric fab("fab", 2, cfg);
+  if (seed != 0) fab.set_fault_injector(&injector);
+  net::TcpStack::Config tcfg;
+  tcfg.mss_bytes = 2048;
+  tcfg.window_bytes = 16 << 10;
+  net::TcpStack a("a", 0, &fab, tcfg);
+  net::TcpStack b("b", 1, &fab, tcfg);
+  TcpFeeder feeder("feeder", &a, 1, 24 << 10, std::move(feed_at));
+  Engine engine;
+  engine.SetScheduling(sched);
+  if (feeder_first) engine.AddModule(&feeder);
+  fab.RegisterWith(engine);
+  engine.AddModule(&a);
+  engine.AddModule(&b);
+  if (!feeder_first) engine.AddModule(&feeder);
+  a.Send(1, 40 << 10);
+  b.Send(0, 12 << 10);
+  auto run = engine.Run(1 << 24);
+  EXPECT_TRUE(run.ok()) << run.status();
+  TcpRunResult r;
+  r.cycles = run.ok() ? *run : 0;
+  r.read_a = a.Readable(1);
+  r.read_b = b.Readable(0);
+  r.segments_a = a.segments_sent();
+  r.segments_b = b.segments_sent();
+  r.retransmits_a = a.retransmits();
+  r.retransmits_b = b.retransmits();
+  r.fast_retransmits_a = a.fast_retransmits();
+  r.fast_retransmits_b = b.fast_retransmits();
+  r.buckets = {BucketsOf(a), BucketsOf(b)};
+  return r;
+}
+
+TEST(EngineEventPipelineTest, LossyTcpPairMatchesTick30Seeds) {
+  int retransmitting = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    const TcpRunResult ref = RunTcpPair(Scheduling::kLevelTick, seed);
+    const TcpRunResult event = RunTcpPair(Scheduling::kEventDriven, seed);
+    ExpectSameTcpRun(ref, event, "seed " + std::to_string(seed));
+    if (ref.retransmits_a + ref.retransmits_b > 0) ++retransmitting;
+  }
+  // The seeds must exercise the timer paths the stacks sleep on.
+  EXPECT_GE(retransmitting, 5);
+}
+
+TEST(EngineEventPipelineTest, TcpSendFromAnotherTickMatchesTick) {
+  // Sends land while a is mid-transfer and after it has gone to sleep on an
+  // established, drained connection, where only Send()'s own WakeUp can
+  // rouse it. The feeder ticks before a in one order and after it in the
+  // other, covering the next-cycle and same-cycle wake paths.
+  const std::vector<Cycle> feed_at = {500, 3000, 40000, 90000};
+  for (uint64_t seed : {0, 3}) {
+    for (bool feeder_first : {true, false}) {
+      const std::string label =
+          "seed " + std::to_string(seed) +
+          (feeder_first ? " feeder first" : " feeder last");
+      const TcpRunResult ref =
+          RunTcpPair(Scheduling::kLevelTick, seed, feed_at, feeder_first);
+      EXPECT_EQ(ref.read_b, uint64_t(40 << 10) + 4 * (24 << 10)) << label;
+      const TcpRunResult event =
+          RunTcpPair(Scheduling::kEventDriven, seed, feed_at, feeder_first);
+      ExpectSameTcpRun(ref, event, label);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

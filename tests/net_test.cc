@@ -212,7 +212,6 @@ class ScheduledSender : public sim::Module {
                   std::vector<std::pair<sim::Cycle, Packet>> schedule)
       : Module(std::move(name)), out_(out), schedule_(std::move(schedule)) {
     out_->BindProducer(this);
-    SetEventSafe();
   }
   void Tick(sim::Cycle c) override {
     bool sent = false;
@@ -247,7 +246,6 @@ class SlowReceiver : public sim::Module {
   SlowReceiver(std::string name, sim::Stream<Packet>* in)
       : Module(std::move(name)), in_(in) {
     in_->BindConsumer(this);
-    SetEventSafe();
   }
   void Tick(sim::Cycle c) override {
     if (c % 4 != 0 || (c >= kPauseFrom && c < kPauseTo) ||

@@ -28,6 +28,12 @@
 # The asan preset (see CMakePresets.json) configures into build-asan/ with
 # FPGADP_SANITIZE=ON, so sanitized and regular build trees never collide.
 #
+# A compiler warning located in the repository's own code (src/, tests/,
+# bench/ or repobench/) fails the preset as "<preset>:warnings"; warnings
+# the compiler reports at system-header paths are outside the gate. Only
+# files that are (re)compiled report warnings, so a fresh build tree checks
+# everything.
+#
 # JOBS defaults to the machine's core count; override with JOBS=N. On a
 # tier failure the script keeps going through the remaining tiers and exits
 # nonzero with a summary of exactly which (preset, tier) pairs broke.
@@ -63,6 +69,12 @@ done
 
 LABELS=(unit property golden chaos)
 FAILURES=()
+# "file:line[:col]: warning:" with the file under one of the repository's
+# code directories, given relative to or under the repository root.
+ROOT_RE="$(pwd | sed 's#[][\\.*^$+?(){}|]#\\&#g')"
+WARNING_RE="^((${ROOT_RE})/)?(src|tests|bench|repobench)/[^:]+:[0-9]+(:[0-9]+)?: warning:"
+BUILD_LOG="$(mktemp)"
+trap 'rm -f "$BUILD_LOG"' EXIT
 
 for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] configure ==="
@@ -71,9 +83,14 @@ for preset in "${PRESETS[@]}"; do
     continue
   fi
   echo "=== [$preset] build ==="
-  if ! cmake --build --preset "$preset" -j "$JOBS"; then
+  if ! cmake --build --preset "$preset" -j "$JOBS" 2>&1 | tee "$BUILD_LOG"; then
     FAILURES+=("$preset:build")
     continue
+  fi
+  if grep -E "$WARNING_RE" "$BUILD_LOG" >/dev/null; then
+    echo "=== [$preset] compiler warnings in repository code: ===" >&2
+    grep -E "$WARNING_RE" "$BUILD_LOG" >&2
+    FAILURES+=("$preset:warnings")
   fi
   tiers=("${LABELS[@]}")
   if [[ "$preset" == "default" ]]; then
